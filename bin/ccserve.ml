@@ -8,8 +8,6 @@
    requests for the same graph skip preprocessing and pay only the walk +
    matching phases. [cctree sample --connect SOCK] is the bundled client. *)
 
-module Net = Cc_clique.Net
-module Transport = Cc_transport.Transport
 module Server = Cc_serve.Server
 open Cmdliner
 
@@ -55,30 +53,6 @@ let domains_t =
     const install
     $ Arg.(value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N"))
 
-let transport_kind_t =
-  let doc =
-    "Execution transport for each request's clique: $(b,inproc) \
-     (single-process simulator) or $(b,mpproc) (supervised OS worker \
-     processes, spawned per request). Defaults to $(b,CC_TRANSPORT) when \
-     set, else inproc. Recorder digests are identical on both."
-  in
-  let resolve spec =
-    match spec with
-    | Some s -> (
-        match Transport.kind_of_string s with
-        | Ok k -> k
-        | Error e -> fail_usage ("--transport: " ^ e))
-    | None -> (
-        match Transport.kind_from_env () with
-        | Ok (Some k) -> k
-        | Ok None -> Transport.Inproc
-        | Error e -> fail_usage e)
-  in
-  Term.(
-    const resolve
-    $ Arg.(
-        value & opt (some string) None & info [ "transport" ] ~doc ~docv:"T"))
-
 let sock_t =
   let doc = "Unix-domain socket path to serve on." in
   Arg.(
@@ -99,61 +73,33 @@ let max_requests_t =
 
 let metrics_json_t =
   let doc =
-    "Write the metrics registry (server.requests, server.cache.*, queue \
+    "Write the metrics registry (server.requests, server.cache.*, the \
+     lifecycle counters server.start/accept/error/close/drain/stop, queue \
      depth, request latency histogram) as JSON to $(docv) at exit — \
      readable by $(b,ccprof summary)."
   in
   Arg.(
     value & opt (some string) None & info [ "metrics-json" ] ~doc ~docv:"FILE")
 
-let health_log_t =
-  let doc =
-    "Write the server lifecycle journal (start, accepts, requests, \
-     completions, drain) as JSON lines to $(docv) at exit — readable by \
-     $(b,ccprof events)."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "health-log" ] ~doc ~docv:"FILE")
-
 let verbose_t =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
 
-let run () verbose sock cache_cap max_requests transport metrics_json
-    health_log =
+let run () verbose sock cache_cap max_requests metrics_json =
   setup_logs verbose;
   if cache_cap < 1 then fail_usage "--cache-cap must be >= 1";
-  let journal = Cc_obs.Journal.create () in
-  let on_net =
-    match transport with
-    | Transport.Inproc -> None
-    | Transport.Mpproc ->
-        Some
-          (fun net ->
-            let tr = Transport.mpproc ~machines:(Net.n net) () in
-            Net.set_transport net tr;
-            fun () -> tr.Transport.shutdown ())
-  in
-  let config =
-    { Server.sock; cache_cap; max_requests; journal = Some journal; on_net }
-  in
+  let config = { Server.sock; cache_cap; max_requests } in
   let srv = try Server.create config with Failure m -> fail_usage m in
   List.iter
     (fun s ->
       Sys.set_signal s (Sys.Signal_handle (fun _ -> Server.request_stop srv)))
     [ Sys.sigterm; Sys.sigint ];
   let finish () =
-    (match metrics_json with
+    match metrics_json with
     | None -> ()
     | Some path ->
         let oc = open_out path in
         output_string oc (Cc_obs.Json.to_string (Cc_obs.Metrics.to_json ()));
         output_char oc '\n';
-        close_out oc);
-    match health_log with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Cc_obs.Journal.to_jsonl journal);
         close_out oc
   in
   Fun.protect ~finally:finish (fun () -> Server.run srv)
@@ -164,10 +110,6 @@ let main =
   Cmd.v info
     Term.(
       const run $ domains_t $ verbose_t $ sock_t $ cache_cap_t
-      $ max_requests_t $ transport_kind_t $ metrics_json_t $ health_log_t)
+      $ max_requests_t $ metrics_json_t)
 
-let () =
-  (* Worker entrypoint first: when re-exec'd by the Mpproc supervisor this
-     process is a shard worker, not a CLI. *)
-  Cc_transport.Worker.maybe_run_as_worker ();
-  exit (Cmd.eval main)
+let () = exit (Cmd.eval main)

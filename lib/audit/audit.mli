@@ -106,12 +106,16 @@ val skipped : t -> int
 val edge_stats : t -> edge_stat list
 
 (** [z_threshold t] is the Bonferroni-corrected per-edge threshold
-    [sqrt (2 ln (2 m' / alpha))] over the [m'] non-bridge edges (subgaussian
-    tail bound, conservative for binomials). *)
+    [sqrt (2 ln (2 m' / alpha))] over the [m'] non-bridge edges. The
+    ["bonferroni-z"] gate compares it against each edge's Bernstein-scaled
+    deviation [|c - Np| / sqrt (Np(1-p) + |c - Np|/3)], which is Bernstein's
+    inequality at [delta = alpha / (2 m')] per tail: calibrated for
+    binomials at any expected count, where the plain z-score is not. *)
 val z_threshold : t -> float
 
-(** [max_z t] is the largest absolute z-score over non-bridge edges
-    ([0.] when every edge is a bridge). *)
+(** [max_z t] is the largest absolute plain z-score over non-bridge edges
+    ([0.] when every edge is a bridge) — a diagnostic; the gate's own
+    statistic is the Bernstein-scaled one above, which never exceeds it. *)
 val max_z : t -> float
 
 (** [tv_edges t] / [kl_edges t] compare the normalized empirical edge-marginal
@@ -154,7 +158,7 @@ type verdict = {
 (** [verdict t] evaluates every gate at the current trial count:
     ["valid-trees"] (every observed tree is a spanning tree),
     ["bridge-exact"] (bridge edges appear in every valid tree),
-    ["bonferroni-z"] (max |z| against {!z_threshold}),
+    ["bonferroni-z"] (max Bernstein-scaled |z| against {!z_threshold}),
     ["chi2-edges"] (sum of z² against the Laurent–Massart upper tail at
     level [alpha]), and on small instances ["small-chi2"] (chi-square over
     the enumerated support against the same tail bound) and

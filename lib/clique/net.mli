@@ -35,24 +35,6 @@ val n : t -> int
 (** [faults t] is the injector the net is armed with, if any. *)
 val faults : t -> Fault.t option
 
-(** {1 Execution transport}
-
-    The net books costs the same way on every transport; a non-default
-    transport additionally {e mirrors} each booked primitive to a pool of
-    supervised OS worker processes ({!Cc_transport.Transport.mpproc}) and
-    SIGKILLs the owning worker when the fault schedule crashes a machine.
-    The mirror is write-only from the model's point of view — ledger,
-    per-machine profile, and recorder digests are identical across
-    transports, the contract the cross-transport CI diff enforces. *)
-
-(** [set_transport t tr] installs the execution transport (default:
-    {!Cc_transport.Transport.inproc}). The caller owns [tr]'s lifecycle —
-    call [tr.sync] at end of run before reading its health, and
-    [tr.shutdown] when done. *)
-val set_transport : t -> Cc_transport.Transport.t -> unit
-
-val transport : t -> Cc_transport.Transport.t
-
 (** {1 Packets and exchanges} *)
 
 type packet = { src : int; dst : int; words : int }

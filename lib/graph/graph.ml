@@ -184,7 +184,7 @@ let to_string g =
     g.edges;
   Buffer.contents buf
 
-let of_string s =
+let parse s =
   let lines =
     String.split_on_char '\n' s
     |> List.map String.trim
@@ -193,22 +193,28 @@ let of_string s =
   match lines with
   | [] -> invalid_arg "Graph.of_string: empty input"
   | first :: rest ->
+      (* Every format ends in " %!": trailing content is an error, never
+         silently dropped. *)
       let nv =
-        try Scanf.sscanf first "n %d" (fun n -> n)
+        try Scanf.sscanf first "n %d %!" (fun n -> n)
         with Scanf.Scan_failure _ | Failure _ | End_of_file ->
           invalid_arg "Graph.of_string: expected 'n <count>' header"
       in
       let edge_list =
         List.map
           (fun line ->
-            try Scanf.sscanf line "e %d %d %f" (fun u v w -> (u, v, w))
+            try Scanf.sscanf line "e %d %d %f %!" (fun u v w -> (u, v, w))
             with Scanf.Scan_failure _ | Failure _ | End_of_file -> (
-              try Scanf.sscanf line "e %d %d" (fun u v -> (u, v, 1.0))
+              try Scanf.sscanf line "e %d %d %!" (fun u v -> (u, v, 1.0))
               with Scanf.Scan_failure _ | Failure _ | End_of_file ->
                 invalid_arg "Graph.of_string: bad edge line"))
           rest
       in
-      of_edges ~n:nv edge_list
+      (nv, edge_list)
+
+let of_string s =
+  let n, edges = parse s in
+  of_edges ~n edges
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>graph on %d vertices, %d edges@," g.n (num_edges g);

@@ -92,8 +92,18 @@ val fingerprint : t -> string
 (** {1 Serialization} *)
 
 (** [to_string g] / [of_string s]: a line-oriented format
-    ("n <n>" then "e <u> <v> <w>" lines) for the CLI. *)
+    ("n <n>" then "e <u> <v> [<w>]" lines, weight 1 when omitted) for the
+    CLI. Blank lines and [#] comments are skipped.
+    @raise Invalid_argument on a malformed line, including any trailing
+    content after the header or an edge. *)
 val to_string : t -> string
 
 val of_string : string -> t
+
+(** [parse s] is the syntax half of {!of_string}: the header's vertex count
+    and the edge triples, validated only for syntax and allocating nothing
+    proportional to the vertex count. [of_string s] is
+    [let n, es = parse s in of_edges ~n es].
+    @raise Invalid_argument as {!of_string} does for malformed lines. *)
+val parse : string -> int * (int * int * float) list
 val pp : Format.formatter -> t -> unit

@@ -1,24 +1,19 @@
-(** Critical-path extraction over a merged multi-process trace.
+(** Critical-path extraction over a (possibly multi-lane) trace.
 
-    Given a {!Trace.t} holding the supervisor plus every worker shard as
-    process lanes, the analysis asks: {e which span, on which process, was
-    the system waiting on at each instant of the run?} It answers with the
-    longest dependent chain — a backward sweep from the last span end, at
-    each step attributing the interval to the {b innermost most-recently
-    started} span active across {e any} lane, back to the point where a
-    later-started span (a child, or concurrent work on another lane) last
-    ended and takes over. An enclosing phase is therefore charged only the
-    slices where none of its descendants were running — self time, not
-    inclusive time. Span begin/end are the synchronization edges; exchange barriers
-    appear implicitly because the metering layer books each primitive into
-    every lane's open spans at the barrier instant, so lanes' span
-    boundaries line up at exchanges and the chain hops to whichever process
-    bounded the barrier.
+    Given a {!Trace.t} whose process lanes hold completed span trees, the
+    analysis asks: {e which span, on which lane, was the run waiting on at
+    each instant?} It answers with the longest dependent chain — a backward
+    sweep from the last span end, at each step attributing the interval to
+    the {b innermost most-recently started} span active across {e any}
+    lane, back to the point where a later-started span (a child, or
+    concurrent work on another lane) last ended and takes over. An
+    enclosing phase is therefore charged only the slices where none of its
+    descendants were running — self time, not inclusive time.
 
     The chain tiles the run: the sum of segment walls plus uncovered gaps
     equals end-to-end wall. With a root span wrapping the workload (the
     binaries' [--trace-out] paths install one), the chain covers end-to-end
-    wall exactly up to clock-alignment error (DESIGN.md §13).
+    wall exactly.
 
     Attribution is {e self}-based so nested phases don't double-count: a
     segment belongs to the innermost active span, and a span's rounds are
@@ -27,8 +22,8 @@
 type segment = {
   span_id : int;
   name : string;
-  pid : int;  (** lane pid ({!Trace.local_pid} = supervisor). *)
-  process : string;  (** lane name ("main", "shard 0", ...). *)
+  pid : int;  (** lane pid ({!Trace.local_pid} = the local lane). *)
+  process : string;  (** lane name ("main", ...). *)
   start_s : float;  (** seconds from the trace origin. *)
   stop_s : float;
 }

@@ -29,9 +29,8 @@ type event = {
    in at close time. *)
 type open_span = { span : span; alloc_at_open : float }
 
-(* A remote process lane: completed root spans and events shipped from
-   another OS process (an mpproc worker), already rebased into this
-   collector's clock by the supervisor. *)
+(* A further process lane: completed root spans and events merged in from
+   another collector (already on this collector's clock). *)
 type lane = {
   lane_pid : int;
   mutable lane_name : string;
@@ -192,22 +191,7 @@ let dropped_events t = t.n_dropped
 let total_rounds t =
   List.fold_left (fun acc sp -> acc +. sp.net_rounds) 0.0 t.roots
 
-(* --- incremental shipping --- *)
-
-let drain_roots t =
-  let r = List.rev t.roots in
-  t.roots <- [];
-  r
-
-let drain_events t =
-  let e = List.rev t.events in
-  t.events <- [];
-  t.n_events <- 0;
-  e
-
 (* --- process lanes --- *)
-
-let set_process_name t name = t.local_name <- name
 
 let find_lane t ~pid ~process =
   match List.find_opt (fun l -> l.lane_pid = pid) t.remote with
@@ -260,23 +244,7 @@ let lanes t =
           List.rev l.lane_events))
        remote
 
-let rec rebase_span ~offset sp =
-  {
-    sp with
-    start_ts = sp.start_ts +. offset;
-    stop_ts = sp.stop_ts +. offset;
-    children = List.map (rebase_span ~offset) sp.children;
-  }
-
-let rebase_event ~offset ev = { ev with ts = ev.ts +. offset }
-
-(* --- wire codec ---
-
-   Timestamps travel as hex-float strings ("%h") so the supervisor rebases
-   the exact bits the worker measured — the Json emitter's decimal floats
-   would quantize epoch-scale timestamps to ~microseconds. *)
-
-let hexf x = Json.String (Printf.sprintf "%h" x)
+(* --- JSON field helpers --- *)
 
 let ( let* ) = Result.bind
 
@@ -293,12 +261,6 @@ let to_int = function
   | Json.Float f -> Some (int_of_float f)
   | _ -> None
 
-let to_hexf = function
-  | Json.String s -> ( try Some (float_of_string s) with _ -> None)
-  | Json.Int i -> Some (float_of_int i)
-  | Json.Float f -> Some f
-  | _ -> None
-
 let to_args = function
   | Json.Obj kvs ->
       let rec go acc = function
@@ -308,90 +270,6 @@ let to_args = function
       in
       go [] kvs
   | _ -> None
-
-let rec span_to_json sp =
-  Json.Obj
-    [
-      ("id", Json.Int sp.id);
-      ("name", Json.String sp.name);
-      ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) sp.args));
-      ("depth", Json.Int sp.depth);
-      ("start", hexf sp.start_ts);
-      ("stop", hexf sp.stop_ts);
-      ("alloc", hexf sp.alloc_words);
-      ("rounds", hexf sp.net_rounds);
-      ("messages", Json.Int sp.net_messages);
-      ("words", Json.Int sp.net_words);
-      ("max_load", Json.Int sp.net_max_load);
-      ("children", Json.List (List.map span_to_json sp.children));
-    ]
-
-let rec span_of_json j =
-  let* id = get "id" to_int j "span" in
-  let* name = get "name" Json.to_string_opt j "span" in
-  let* args = get "args" to_args j "span" in
-  let* depth = get "depth" to_int j "span" in
-  let* start_ts = get "start" to_hexf j "span" in
-  let* stop_ts = get "stop" to_hexf j "span" in
-  let* alloc_words = get "alloc" to_hexf j "span" in
-  let* net_rounds = get "rounds" to_hexf j "span" in
-  let* net_messages = get "messages" to_int j "span" in
-  let* net_words = get "words" to_int j "span" in
-  let* net_max_load = get "max_load" to_int j "span" in
-  let* kids = get "children" Json.to_list_opt j "span" in
-  let rec decode acc = function
-    | [] -> Ok (List.rev acc)
-    | k :: rest ->
-        let* c = span_of_json k in
-        decode (c :: acc) rest
-  in
-  let* children = decode [] kids in
-  Ok
-    {
-      id;
-      name;
-      args;
-      depth;
-      start_ts;
-      stop_ts;
-      alloc_words;
-      net_rounds;
-      net_messages;
-      net_words;
-      net_max_load;
-      children;
-    }
-
-let event_to_json ev =
-  Json.Obj
-    [
-      ("ts", hexf ev.ts);
-      ( "span",
-        match ev.span_id with None -> Json.Null | Some i -> Json.Int i );
-      ("kind", Json.String ev.kind);
-      ("label", Json.String ev.label);
-      ("rounds", hexf ev.rounds);
-      ("messages", Json.Int ev.messages);
-      ("words", Json.Int ev.words);
-      ("max_load", Json.Int ev.max_load);
-      ("round_clock", hexf ev.round_clock);
-    ]
-
-let event_of_json j =
-  let* ts = get "ts" to_hexf j "event" in
-  let span_id =
-    match Json.member "span" j with
-    | Some (Json.Int i) -> Some i
-    | _ -> None
-  in
-  let* kind = get "kind" Json.to_string_opt j "event" in
-  let* label = get "label" Json.to_string_opt j "event" in
-  let* rounds = get "rounds" to_hexf j "event" in
-  let* messages = get "messages" to_int j "event" in
-  let* words = get "words" to_int j "event" in
-  let* max_load = get "max_load" to_int j "event" in
-  let* round_clock = get "round_clock" to_hexf j "event" in
-  Ok { ts; span_id; kind; label; rounds; messages; words; max_load; round_clock }
 
 (* --- exporters --- *)
 

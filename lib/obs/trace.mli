@@ -24,21 +24,12 @@
     ({!to_chrome_json}) loadable in [chrome://tracing] or
     {{:https://ui.perfetto.dev}Perfetto}.
 
-    {b Process-locality and distributed reconstruction.} The active collector
-    is per-OS-process: spans opened inside an [Mpproc] transport worker land
-    in {e that worker's} collector, not the parent's. Workers ship their
-    {b complete} span trees and events incrementally ({!drain_roots} /
-    {!drain_events}) inside their telemetry reports on [Status] heartbeats
-    and the final pre-[Shutdown] flush; the supervisor rebases the remote
-    timestamps into its own clock (offset estimated from the heartbeat round
-    trip, see DESIGN.md §13) and merges them into the parent collector as
-    per-shard {e process lanes} ({!add_remote_span}). Span ids never collide
-    across processes because every worker's collector starts at a
-    parent-assigned id base ([?first_id]). One merged collector therefore
-    holds the whole system — supervisor plus every shard — and the exporters
-    render each lane as its own process. Flattened top-level span aggregates
-    additionally flow through {!Cc_obs.Telemetry} as [worker.<shard>.span.*]
-    metrics. *)
+    {b Process lanes.} The active collector is per-OS-process. A collector
+    can additionally hold further {e lanes} — completed span trees and
+    events merged in from other collectors ({!add_remote_span}) — and the
+    exporters render each lane as its own process. Merging several
+    collectors into one keeps span ids unique when each was created with a
+    disjoint [?first_id] base. *)
 
 type span = {
   id : int;
@@ -79,8 +70,8 @@ type t
     for deterministic tests). At most [max_events] net events are kept
     (default [200_000]); excess events still update span totals but are
     dropped from the timeline and counted in {!dropped_events}. [first_id]
-    (default 0) is the id of the first span — transport workers receive a
-    disjoint id base from the supervisor so merged traces never collide. *)
+    (default 0) is the id of the first span — collectors that will be merged
+    into one take disjoint id bases so their span ids never collide. *)
 val create : ?clock:(unit -> float) -> ?max_events:int -> ?first_id:int -> unit -> t
 
 (** [install t] makes [t] the process-wide active collector. *)
@@ -102,8 +93,8 @@ val with_trace : t -> (unit -> 'a) -> 'a
 val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
 (** [open_span t ?args name] pushes an open span by hand — for callers whose
-    span boundaries are message-driven rather than lexically scoped (the
-    transport worker's per-shard book batches). Pair with {!close_span}. *)
+    span boundaries are not lexically scoped (a replay's top-level run
+    span). Pair with {!close_span}. *)
 val open_span : t -> ?args:(string * string) list -> string -> unit
 
 (** [close_span ?args t] closes the innermost open span, appending [args]
@@ -147,32 +138,18 @@ val dropped_events : t -> int
 (** [total_rounds t] sums [net_rounds] over the local top-level spans. *)
 val total_rounds : t -> float
 
-(** {1 Incremental shipping (worker side)} *)
-
-(** [drain_roots t] removes and returns the completed local top-level spans,
-    in start order. Each completed span is returned by exactly one drain —
-    the exactly-once contract the worker's heartbeat shipping relies on.
-    Spans still open stay and complete later. *)
-val drain_roots : t -> span list
-
-(** [drain_events t] removes and returns the recorded net events, in order
-    (same exactly-once contract). The dropped-events counter is kept. *)
-val drain_events : t -> event list
-
-(** {1 Process lanes (supervisor side)} *)
+(** {1 Process lanes} *)
 
 (** The merged collector renders as one process per lane. The local lane —
     the collector's own spans and events — always has pid {!local_pid}. *)
 val local_pid : int
 
-(** [set_process_name t name] names the local lane (default ["main"]). *)
-val set_process_name : t -> string -> unit
-
 (** [add_remote_span t ~pid ?process span] appends a completed root [span]
     (its subtree included) to the lane [pid], creating the lane (named
-    [process], default ["pid <pid>"]) on first use. The caller is
-    responsible for rebasing timestamps ({!rebase_span}) and for id
-    uniqueness (parent-assigned [first_id] bases). *)
+    [process], default ["pid <pid>"]) on first use; pid {!local_pid} is the
+    local lane. Timestamps must already be on this
+    collector's clock, and id uniqueness is the caller's ([first_id]
+    bases). *)
 val add_remote_span : t -> pid:int -> ?process:string -> span -> unit
 
 (** [add_remote_event t ~pid ?process event] appends an event to lane
@@ -183,24 +160,6 @@ val add_remote_event : t -> pid:int -> ?process:string -> event -> unit
     remote lanes sorted by pid — as [(pid, process name, completed roots,
     events)]. *)
 val lanes : t -> (int * string * span list * event list) list
-
-(** [rebase_span ~offset span] is a copy of [span] (subtree included) with
-    every timestamp shifted by [offset] seconds — how the supervisor maps a
-    worker's clock into its own. *)
-val rebase_span : offset:float -> span -> span
-
-val rebase_event : offset:float -> event -> event
-
-(** {1 Wire codec}
-
-    Lossless JSON forms for shipping spans and events across the transport:
-    timestamps serialize as hex-float strings so rebasing works on exact
-    bits. Used by {!Cc_obs.Telemetry}. *)
-
-val span_to_json : span -> Json.t
-val span_of_json : Json.t -> (span, string) result
-val event_to_json : event -> Json.t
-val event_of_json : Json.t -> (event, string) result
 
 (** {1 Exporters} *)
 

@@ -10,7 +10,9 @@
 
     - [graph] (required): either a string in the {!Cc_graph.Graph.of_string}
       line format, or an object [{"n": 4, "edges": [[0,1], [1,2,2.5], ...]}]
-      where each edge is [[u, v]] (weight 1) or [[u, v, w]].
+      where each edge is [[u, v]] (weight 1) or [[u, v, w]]. A graph with
+      more than [edges + 1] vertices has no spanning tree and is rejected
+      before anything vertex-sized is allocated.
     - [k] (default 1): number of trees to draw.
     - [seed] (default 0): master seed; tree [i] is drawn from the [i]-th
       sequential {!Cc_util.Prng.split} of the master stream, so tree [i] is
@@ -46,7 +48,7 @@ type request = {
 }
 
 (** [parse_request line] parses one request line. Errors are human-readable
-    messages suitable for an error response. *)
+    messages suitable for an error response; no input makes it raise. *)
 val parse_request : string -> (request, string) result
 
 (** [request_line ?id ~graph ~k ~seed ~meth ()] serializes one request

@@ -6,7 +6,6 @@ module Sampler = Cc_sampler.Sampler
 module Sequential = Cc_sampler.Sequential
 module Doubling = Cc_doubling.Doubling
 module Metrics = Cc_obs.Metrics
-module Journal = Cc_obs.Journal
 module Recorder = Cc_obs.Recorder
 
 let src = Logs.Src.create "cc.serve" ~doc:"ccserve daemon"
@@ -17,12 +16,9 @@ type config = {
   sock : string;
   cache_cap : int;
   max_requests : int option;
-  journal : Journal.t option;
-  on_net : (Net.t -> unit -> unit) option;
 }
 
-let default_config ~sock =
-  { sock; cache_cap = 8; max_requests = None; journal = None; on_net = None }
+let default_config ~sock = { sock; cache_cap = 8; max_requests = None }
 
 (* A cached plan. The three samplers expose the same prepare/draw shape but
    distinct plan types; the cache stores the sum. *)
@@ -37,7 +33,6 @@ type job = {
   cache_hit : bool;
   net : Net.t;
   recorder : Recorder.t;
-  teardown : unit -> unit;  (* transport shutdown, when one was installed *)
   master : Prng.t;  (* tree i draws from the i-th sequential split *)
   mutable drawn : int;
   started : float;
@@ -66,11 +61,6 @@ type t = {
 }
 
 let max_line_bytes = 8 * 1024 * 1024
-
-let journal_record t ?worker ?cause kind =
-  match t.config.journal with
-  | None -> ()
-  | Some j -> Journal.record j ?worker ?cause kind
 
 (* --- socket lifecycle --- *)
 
@@ -114,7 +104,7 @@ let create config =
       served = 0;
     }
   in
-  journal_record t "serve_start" ~cause:config.sock;
+  Metrics.incr "server.start";
   Log.info (fun m -> m "listening on %s" config.sock);
   t
 
@@ -142,14 +132,7 @@ let start_job t conn (req : Protocol.request) =
   let net = Net.create ~n in
   let recorder = Recorder.create ~machines:n () in
   ignore (Net.attach_recorder net recorder);
-  let teardown =
-    match t.config.on_net with Some f -> f net | None -> fun () -> ()
-  in
   Metrics.incr "server.requests";
-  journal_record t "serve_request" ~worker:conn.cid
-    ~cause:
-      (Printf.sprintf "%s k=%d %s" (Protocol.method_name req.meth) req.k
-         (if cache_hit then "hit" else "miss"));
   conn.job <-
     Some
       {
@@ -158,7 +141,6 @@ let start_job t conn (req : Protocol.request) =
         cache_hit;
         net;
         recorder;
-        teardown;
         master = Prng.create ~seed:req.seed;
         drawn = 0;
         started = Unix.gettimeofday ();
@@ -191,7 +173,6 @@ let draw_tree job =
       (header, Tree.edges tree)
 
 let finish_job t conn job =
-  (try job.teardown () with _ -> ());
   let ms = 1000.0 *. (Unix.gettimeofday () -. job.started) in
   Metrics.observe "server.request_ms" ms;
   conn.out <-
@@ -202,36 +183,33 @@ let finish_job t conn job =
         ~rounds:(Net.rounds job.net) ();
   conn.job <- None;
   t.served <- t.served + 1;
-  journal_record t "serve_done" ~worker:conn.cid
-    ~cause:(Printf.sprintf "%.1fms" ms);
   match t.config.max_requests with
   | Some n when t.served >= n -> t.stop <- true
   | _ -> ()
 
 let fail_job t conn job message =
-  (try job.teardown () with _ -> ());
   conn.out <- conn.out ^ Protocol.error_line ?id:job.req.Protocol.id message;
   conn.job <- None;
   t.served <- t.served + 1;
-  journal_record t "serve_error" ~worker:conn.cid ~cause:message
+  Metrics.incr "server.error"
 
 (* --- input handling --- *)
 
-let enqueue_line t conn line =
+let enqueue_line conn line =
   if String.trim line = "" then ()
   else
     match Protocol.parse_request line with
     | Ok req -> conn.queue <- req :: conn.queue
     | Error m ->
         conn.out <- conn.out ^ Protocol.error_line m;
-        journal_record t "serve_error" ~worker:conn.cid ~cause:m
+        Metrics.incr "server.error"
 
-let split_lines t conn =
+let split_lines conn =
   let s = Buffer.contents conn.inbuf in
   let rec go start =
     match String.index_from_opt s start '\n' with
     | Some nl ->
-        enqueue_line t conn (String.sub s start (nl - start));
+        enqueue_line conn (String.sub s start (nl - start));
         go (nl + 1)
     | None ->
         Buffer.clear conn.inbuf;
@@ -239,33 +217,33 @@ let split_lines t conn =
   in
   go 0
 
-let close_conn t conn =
+let close_conn conn =
   if conn.alive then begin
     conn.alive <- false;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-    journal_record t "serve_close" ~worker:conn.cid
+    Metrics.incr "server.close"
   end
 
-let read_conn t conn =
+let read_conn conn =
   let chunk = Bytes.create 65536 in
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | 0 ->
       (* EOF: serve what was already queued, then the flush path closes. *)
       if conn.out = "" && conn.job = None && conn.queue = [] then
-        close_conn t conn
+        close_conn conn
   | len ->
       Buffer.add_subbytes conn.inbuf chunk 0 len;
-      split_lines t conn;
+      split_lines conn;
       if Buffer.length conn.inbuf > max_line_bytes then begin
         conn.out <- conn.out ^ Protocol.error_line "request line too long";
-        close_conn t conn
+        close_conn conn
       end
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
       ()
-  | exception Unix.Unix_error _ -> close_conn t conn
+  | exception Unix.Unix_error _ -> close_conn conn
 
-let flush_conn t conn =
+let flush_conn conn =
   if conn.alive && conn.out <> "" then
     match
       Unix.write_substring conn.fd conn.out 0 (String.length conn.out)
@@ -275,7 +253,7 @@ let flush_conn t conn =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
         ()
-    | exception Unix.Unix_error _ -> close_conn t conn
+    | exception Unix.Unix_error _ -> close_conn conn
 
 let accept_conns t =
   let rec go () =
@@ -297,7 +275,7 @@ let accept_conns t =
                 alive = true;
               };
             ];
-        journal_record t "serve_accept" ~worker:cid;
+        Metrics.incr "server.accept";
         go ()
     | exception
         Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
@@ -332,7 +310,7 @@ let step t =
     in
     if (not t.stop) && List.mem t.listen_fd rd then accept_conns t;
     List.iter
-      (fun c -> if c.alive && List.mem c.fd rd then read_conn t c)
+      (fun c -> if c.alive && List.mem c.fd rd then read_conn c)
       t.conns;
     (* Start queued requests (skipped while draining). *)
     if not t.stop then
@@ -348,7 +326,7 @@ let step t =
                 | Invalid_argument m | Failure m ->
                     c.out <- c.out ^ Protocol.error_line ?id:req.Protocol.id m;
                     t.served <- t.served + 1;
-                    journal_record t "serve_error" ~worker:c.cid ~cause:m))
+                    Metrics.incr "server.error"))
         t.conns;
     (* One tree for one job, round-robin across connections. *)
     (match active_jobs t with
@@ -374,18 +352,18 @@ let step t =
     in
     Metrics.set_gauge "server.queue_depth" (float_of_int queued);
     Metrics.set_gauge "server.connections" (float_of_int (connections t));
-    List.iter (fun c -> flush_conn t c) t.conns;
+    List.iter (fun c -> flush_conn c) t.conns;
     t.conns <- List.filter (fun c -> c.alive) t.conns;
     if
       t.stop
       && List.for_all (fun c -> c.out = "" && c.job = None) t.conns
     then begin
-      journal_record t "serve_drain";
-      List.iter (fun c -> close_conn t c) t.conns;
+      Metrics.incr "server.drain";
+      List.iter (fun c -> close_conn c) t.conns;
       t.conns <- [];
       (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
       (try Unix.unlink t.config.sock with Unix.Unix_error _ -> ());
-      journal_record t "serve_stop";
+      Metrics.incr "server.stop";
       Log.info (fun m -> m "drained after %d request(s)" t.served);
       t.drained <- true
     end;

@@ -13,8 +13,10 @@
     one-shot [cctree sample --count] run at the same seed); the metrics
     registry gains [server.requests], [server.cache.{hit,miss,evict}],
     [server.queue_depth], [server.connections] and the [server.request_ms]
-    latency histogram; lifecycle events (start, accept, request, done,
-    error, drain, stop) are appended to the optional journal.
+    latency histogram, plus one counter per lifecycle event:
+    [server.start], [server.accept], [server.error], [server.close],
+    [server.drain] and [server.stop]. An error's message goes back to the
+    client as a {!Protocol.error_line}.
 
     The loop never raises for client misbehavior: malformed or torn request
     lines produce a structured error response and the connection survives;
@@ -27,12 +29,6 @@ type config = {
   max_requests : int option;
       (** stop (drain) after this many completed requests — for tests and
           the CI smoke job. *)
-  journal : Cc_obs.Journal.t option;
-  on_net : (Cc_clique.Net.t -> unit -> unit) option;
-      (** called on each request's freshly created net before any draw —
-          the hook [ccserve --transport mpproc] uses to install a
-          supervised transport; the returned thunk tears it down when the
-          request completes. *)
 }
 
 val default_config : sock:string -> config

@@ -241,6 +241,24 @@ let test_of_string_errors () =
   check_raises "bad edge" (Invalid_argument "Graph.of_string: bad edge line")
     (fun () -> ignore (Graph.of_string "n 4\nedge 0 1"))
 
+(* Trailing content is an error, never dropped: otherwise "e 0 1 nan" and
+   "e 0 1 abc" read as weight 1 and "e 0 1 2 9 9" as weight 2. *)
+let test_of_string_rejects_trailing_tokens () =
+  let open Alcotest in
+  let bad_edge = Invalid_argument "Graph.of_string: bad edge line" in
+  List.iter
+    (fun line ->
+      check_raises line bad_edge (fun () ->
+          ignore (Graph.of_string ("n 3\n" ^ line))))
+    [ "e 0 1 nan"; "e 0 1 abc"; "e 0 1 2 9 9" ];
+  check_raises "n 3 junk"
+    (Invalid_argument "Graph.of_string: expected 'n <count>' header")
+    (fun () -> ignore (Graph.of_string "n 3 junk\ne 0 1"));
+  (* trailing blanks are not content *)
+  let g = Graph.of_string "n 3  \ne 0 1 2.5\t\ne 1 2 \n" in
+  check (float 1e-9) "weight kept" 2.5 (Graph.edge_weight g 0 1);
+  check (float 1e-9) "unweighted kept" 1.0 (Graph.edge_weight g 1 2)
+
 let test_of_string_comments_and_unweighted () =
   let g = Graph.of_string "# a comment\nn 3\ne 0 1\ne 1 2 2.5\n" in
   Alcotest.(check int) "n" 3 (Graph.n g);
@@ -498,6 +516,8 @@ let () =
           Alcotest.test_case "family parsing" `Quick test_family_roundtrip;
           Alcotest.test_case "figure 2 graph" `Quick test_figure2_shape;
           Alcotest.test_case "of_string errors" `Quick test_of_string_errors;
+          Alcotest.test_case "of_string rejects trailing tokens" `Quick
+            test_of_string_rejects_trailing_tokens;
           Alcotest.test_case "of_string format" `Quick test_of_string_comments_and_unweighted;
           Alcotest.test_case "all families build" `Quick test_build_all_families;
         ] );

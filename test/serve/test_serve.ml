@@ -14,6 +14,7 @@ module Sampler = Cc_sampler.Sampler
 module Protocol = Cc_serve.Protocol
 module Plan_cache = Cc_serve.Plan_cache
 module Server = Cc_serve.Server
+module Metrics = Cc_obs.Metrics
 
 let test_graph = Gen.build (Prng.create ~seed:1) Gen.Complete ~n:8
 
@@ -222,6 +223,89 @@ let test_protocol_roundtrip () =
       Alcotest.(check (float 0.0)) "rounds" 4.5 d.rounds
   | _ -> Alcotest.fail "expected done"
 
+(* A request whose graph has more vertices than a spanning tree could
+   cover is refused before any vertex-sized allocation, so
+   "n 4000000000000" cannot raise Out_of_memory out of the serve loop. *)
+let test_protocol_rejects_treeless_graphs () =
+  List.iter
+    (fun bad ->
+      match Protocol.parse_request bad with
+      | Ok _ -> Alcotest.failf "accepted %S" bad
+      | Error _ -> ())
+    [
+      {|{"graph":"n 4000000000000"}|};
+      {|{"graph":"n 4000000000000
+e 0 1"}|};
+      {|{"graph":{"n":4000000000000,"edges":[]}}|};
+      {|{"graph":{"n":4,"edges":[[0,1],[1,2]]}}|};
+      {|{"graph":"n 3
+e 0 1 nan
+e 1 2"}|};
+      {|{"graph":"n 3
+e 0 1 2 9 9
+e 1 2"}|};
+    ];
+  (* n = m + 1 is the boundary: a tree is still possible. *)
+  match Protocol.parse_request {|{"graph":{"n":3,"edges":[[0,1],[1,2]]}}|} with
+  | Ok r -> Alcotest.(check int) "path accepted" 3 (Graph.n r.Protocol.graph)
+  | Error m -> Alcotest.failf "path rejected: %s" m
+
+(* parse_request is the serve loop's trust boundary: whatever the bytes, it
+   answers Ok or Error and never raises. *)
+let qcheck_tests =
+  let open QCheck in
+  let total s =
+    match Protocol.parse_request s with
+    | Ok _ | Error _ -> true
+    | exception e ->
+        Test.fail_reportf "parse_request %S raised %s" s (Printexc.to_string e)
+  in
+  let valid =
+    [|
+      req ~id:"r1" ~k:2 ~seed:7 ();
+      req ~meth:Protocol.Doubling ();
+      {|{"graph": {"n": 3, "edges": [[0,1],[1,2],[0,2,2.5]]}, "k": 3}|};
+      {|{"graph": "n 3
+e 0 1 1
+e 1 2 0.5", "method": "sequential"}|};
+    |]
+  in
+  (* Replace, insert or delete single bytes, biased toward the characters
+     that change a request's meaning, or blow a number up by 10^12. *)
+  let interesting = "0123456789 \n\"{}[],:.-eEn" in
+  let edit =
+    Gen.(
+      triple (int_range 0 3) nat
+        (oneof [ char; map (String.get interesting) (int_bound (String.length interesting - 1)) ]))
+  in
+  let mutate base edits =
+    List.fold_left
+      (fun s (op, pos, c) ->
+        let len = String.length s in
+        let i = if len = 0 then 0 else pos mod len in
+        match op with
+        | 0 when len > 0 -> String.mapi (fun j x -> if j = i then c else x) s
+        | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (len - i)
+        | 2 when len > 0 -> String.sub s 0 i ^ String.sub s (i + 1) (len - i - 1)
+        | 3 -> String.sub s 0 i ^ String.make 12 '0' ^ String.sub s i (len - i)
+        | _ -> s)
+      base edits
+  in
+  [
+    Test.make ~name:"parse_request never raises on arbitrary bytes" ~count:500
+      (make ~print:Print.string Gen.(string_size (int_range 0 200)))
+      total;
+    Test.make ~name:"parse_request never raises on mutated requests"
+      ~count:1000
+      (make ~print:Print.string
+         Gen.(
+           map2
+             (fun b edits -> mutate valid.(b) edits)
+             (int_bound (Array.length valid - 1))
+             (list_size (int_range 1 8) edit)))
+      total;
+  ]
+
 (* --- server end-to-end (in-process) --- *)
 
 let test_serve_cold_then_warm () =
@@ -388,13 +472,56 @@ let test_serve_max_requests_and_methods () =
     (hits, misses);
   Unix.close c.fd
 
+(* Lifecycle events are plain counters: one start, one accept per client,
+   one error per bad line, one drain and stop, one close per connection
+   the drain shuts. *)
+let test_serve_lifecycle_counters () =
+  Metrics.reset ();
+  let srv = make_server ~max_requests:2 () in
+  let c1 = connect srv and c2 = connect srv in
+  send srv c1 "not json\n";
+  (match collect srv c1 ~n:1 with
+  | [ Protocol.Error _ ] -> ()
+  | _ -> Alcotest.fail "expected error response");
+  send srv c1 (req ~seed:1 ());
+  ignore (check_trees_then_done ~g:test_graph ~k:1 (collect srv c1 ~n:2));
+  send srv c2 (req ~seed:2 ());
+  ignore (check_trees_then_done ~g:test_graph ~k:1 (collect srv c2 ~n:2));
+  let steps = ref 0 in
+  while Server.step srv && !steps < 200_000 do
+    incr steps
+  done;
+  let counter name =
+    match Metrics.get name with Some (Metrics.Counter c) -> c | _ -> 0
+  in
+  List.iter
+    (fun (name, want) -> Alcotest.(check int) name want (counter name))
+    [
+      ("server.start", 1);
+      ("server.accept", 2);
+      ("server.error", 1);
+      ("server.requests", 2);
+      ("server.close", 2);
+      ("server.drain", 1);
+      ("server.stop", 1);
+    ];
+  Unix.close c1.fd;
+  Unix.close c2.fd;
+  Metrics.reset ()
+
 let () =
+  let qsuite = List.map QCheck_alcotest.to_alcotest qcheck_tests in
   Alcotest.run "cc_serve"
     [
       ( "plan_cache",
         [ Alcotest.test_case "lru semantics" `Quick test_cache_lru ] );
       ( "protocol",
-        [ Alcotest.test_case "roundtrip" `Quick test_protocol_roundtrip ] );
+        [
+          Alcotest.test_case "roundtrip" `Quick test_protocol_roundtrip;
+          Alcotest.test_case "rejects treeless graphs" `Quick
+            test_protocol_rejects_treeless_graphs;
+        ] );
+      ("protocol properties", qsuite);
       ( "server",
         [
           Alcotest.test_case "cold then warm" `Quick test_serve_cold_then_warm;
@@ -408,5 +535,7 @@ let () =
             test_serve_drain_finishes_active_job;
           Alcotest.test_case "max requests + methods" `Quick
             test_serve_max_requests_and_methods;
+          Alcotest.test_case "lifecycle counters" `Quick
+            test_serve_lifecycle_counters;
         ] );
     ]
