@@ -379,7 +379,8 @@ let load_graph ?weights ~family ~size ~file ~prng () =
         let len = in_channel_length ic in
         let s = really_input_string ic len in
         close_in ic;
-        Graph.of_string s
+        (try Graph.of_string ~spanning:true s
+         with Invalid_argument m -> fail_usage (path ^ ": " ^ m))
     | None, Some fam -> Gen.build prng (Gen.family_of_string fam) ~n:size
     | None, None -> Gen.build prng Gen.Lollipop ~n:size
   in

@@ -25,6 +25,11 @@ let next_pow2 x =
 
 let max_materialized = 2_000_000
 
+(* Placements solved by the exact DP: at most this many midpoints and DP
+   states; larger ones go to the MCMC chain. *)
+let max_dp_k = 512
+let max_dp_states = 50_000
+
 (* Mutable counters threaded through a run. *)
 type counters = {
   mutable c_checks : int;
@@ -288,20 +293,24 @@ let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
             Placement.build ~identities ~positions ~weight:(fun ~v ~p ~q ->
                 Mat.get half p v *. Mat.get half v q)
           in
-          let init = Array.init k_match (fun j -> j) in
-          let dp_attempt () =
-            (* Exact DP only while the instance is genuinely small; the
-               budget keeps a single placement cheap relative to the level. *)
-            if k_match > 512 then invalid_arg "placement too large for DP"
-            else Placement.sample_exact ~max_states:50_000 prng instance
+          (* Exact DP only while the instance is genuinely small, decided
+             from the state count before any work or PRNG draw; the limits
+             keep a single placement cheap relative to the level. *)
+          let fallback =
+            if k_match > max_dp_k then
+              Some ("k_limit", "placement.fallback.k_limit")
+            else if Placement.dp_states instance > max_dp_states then
+              Some ("state_limit", "placement.fallback.state_limit")
+            else None
           in
           let sigma =
-            match dp_attempt () with
-            | sigma ->
+            match fallback with
+            | None ->
                 counters.c_exact <- counters.c_exact + 1;
-                sigma
-            | exception Invalid_argument _ ->
+                Placement.sample_exact ~max_states:max_dp_states prng instance
+            | Some (reason, counter) ->
                 counters.c_mcmc <- counters.c_mcmc + 1;
+                Cc_obs.Metrics.incr counter;
                 let steps =
                   match mcmc_steps with
                   | Some s -> s
@@ -310,8 +319,17 @@ let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
                       int_of_float
                         (Float.ceil (60.0 *. kf *. Float.max 1.0 (Float.log kf)))
                 in
-                Cc_matching.Sampler.mcmc ~init prng instance.Placement.weights
-                  ~steps
+                let init = Array.init k_match (fun j -> j) in
+                Cc_obs.Trace.with_span "placement.mcmc"
+                  ~args:
+                    [
+                      ("k", string_of_int k_match);
+                      ("steps", string_of_int steps);
+                      ("reason", reason);
+                    ]
+                  (fun () ->
+                    Cc_matching.Sampler.mcmc ~init prng
+                      instance.Placement.weights ~steps)
           in
           Array.iteri
             (fun j pos -> new_walk.(pos) <- identities.(sigma.(j)))

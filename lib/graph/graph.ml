@@ -4,8 +4,16 @@ type t = {
   edges : (int * int * float) list; (* u < v, each edge once *)
 }
 
-let of_edges ~n edge_list =
+(* A spanning tree needs n - 1 edges, so with [~spanning:true] a graph with
+   n > m + 1 is refused before anything n-sized is allocated: a one-line
+   file or request with a huge "n" would otherwise raise Out_of_memory. *)
+let of_edges ?(spanning = false) ~n edge_list =
   if n <= 0 then invalid_arg "Graph.of_edges: n <= 0";
+  if spanning && n > List.length edge_list + 1 then
+    invalid_arg
+      (Printf.sprintf
+         "Graph.of_edges: %d vertices but only %d edges, no spanning tree" n
+         (List.length edge_list));
   let seen = Hashtbl.create (List.length edge_list) in
   let canonical =
     List.map
@@ -212,9 +220,9 @@ let parse s =
       in
       (nv, edge_list)
 
-let of_string s =
+let of_string ?spanning s =
   let n, edges = parse s in
-  of_edges ~n edges
+  of_edges ?spanning ~n edges
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>graph on %d vertices, %d edges@," g.n (num_edges g);

@@ -11,9 +11,12 @@ type t
 (** {1 Construction} *)
 
 (** [of_edges ~n edges] builds a graph on [n] vertices from weighted edges
-    [(u, v, w)]. @raise Invalid_argument on self-loops, duplicate edges,
-    nonpositive weights, or out-of-range endpoints. *)
-val of_edges : n:int -> (int * int * float) list -> t
+    [(u, v, w)]. With [~spanning:true] (default [false]), for inputs that
+    will be sampled, it also refuses [n > m + 1] — too few edges for any
+    spanning tree — before allocating anything proportional to [n].
+    @raise Invalid_argument on self-loops, duplicate edges, nonpositive
+    weights, out-of-range endpoints, or that refusal. *)
+val of_edges : ?spanning:bool -> n:int -> (int * int * float) list -> t
 
 (** [of_unweighted_edges ~n edges] gives every edge weight 1. *)
 val of_unweighted_edges : n:int -> (int * int) list -> t
@@ -94,16 +97,12 @@ val fingerprint : t -> string
 (** [to_string g] / [of_string s]: a line-oriented format
     ("n <n>" then "e <u> <v> [<w>]" lines, weight 1 when omitted) for the
     CLI. Blank lines and [#] comments are skipped.
+    [?spanning] is passed to {!of_edges}: graph files and requests that
+    will be sampled read with [~spanning:true], so a huge header count is
+    refused before it is allocated.
     @raise Invalid_argument on a malformed line, including any trailing
-    content after the header or an edge. *)
+    content after the header or an edge, and as {!of_edges} does. *)
 val to_string : t -> string
 
-val of_string : string -> t
-
-(** [parse s] is the syntax half of {!of_string}: the header's vertex count
-    and the edge triples, validated only for syntax and allocating nothing
-    proportional to the vertex count. [of_string s] is
-    [let n, es = parse s in of_edges ~n es].
-    @raise Invalid_argument as {!of_string} does for malformed lines. *)
-val parse : string -> int * (int * int * float) list
+val of_string : ?spanning:bool -> string -> t
 val pp : Format.formatter -> t -> unit

@@ -6,8 +6,6 @@ type t = {
   weights : float array array;
 }
 
-exception Too_large
-
 let build ~identities ~positions ~weight =
   let k = Array.length identities in
   if k = 0 then invalid_arg "Placement.build: empty instance";
@@ -40,30 +38,30 @@ let position_classes t =
   |> List.sort compare
   |> Array.of_list
 
-let dp_states t =
+(* Saturates at [max_int]: the raw product overflows on long walks. *)
+let count_states classes =
   Array.fold_left
-    (fun acc (_, members) -> acc * (List.length members + 1))
-    1 (position_classes t)
+    (fun acc (_, members) ->
+      let r = List.length members + 1 in
+      if acc > max_int / r then max_int else acc * r)
+    1 classes
 
-(* log-sum-exp of a list that may contain neg_infinity. *)
-let log_sum_exp xs =
-  let m = List.fold_left Float.max neg_infinity xs in
-  if m = neg_infinity then neg_infinity
-  else
-    m
-    +. Float.log
-         (List.fold_left (fun acc x -> acc +. Float.exp (x -. m)) 0.0 xs)
+let dp_states t = count_states (position_classes t)
 
-let sample_exact ?(max_states = 2_000_000) prng t =
+(* The only size limit: the memo holds [dp_states] floats. *)
+let max_states = 1_000_000
+
+let sample_exact ?(max_states = max_states) prng t =
   Cc_obs.Metrics.incr "placement.exact_calls";
   Cc_obs.Trace.with_span "placement.exact"
     ~args:[ ("k", string_of_int (Array.length t.identities)) ]
   @@ fun () ->
   let classes = position_classes t in
+  let states = count_states classes in
+  if states > max_states then
+    invalid_arg "Placement.sample_exact: state space too large";
   let tcount = Array.length classes in
-  let capacities = Array.map (fun (_, members) -> List.length members) classes in
-  let states = dp_states t in
-  if states > max_states then raise Too_large;
+  let caps = Array.map (fun (_, members) -> List.length members) classes in
   let k = Array.length t.identities in
   (* Class weight a(v, class t): all positions in a class share a weight
      column; take it from the first member. *)
@@ -78,66 +76,64 @@ let sample_exact ?(max_states = 2_000_000) prng t =
      equal-identity runs; order does not affect correctness. *)
   let order = Array.init k (fun i -> i) in
   Array.sort (fun a b -> compare t.identities.(a) t.identities.(b)) order;
-  (* Mixed-radix encoding of capacity vectors. *)
+  (* Mixed-radix code of the remaining-capacity vector [caps], which is kept
+     in step with it. The capacities sum to k - u, so the code alone fixes
+     the layer u: the memo has one slot per state, nan until computed. *)
   let radix = Array.make tcount 1 in
   for c = 1 to tcount - 1 do
-    radix.(c) <- radix.(c - 1) * (capacities.(c - 1) + 1)
+    radix.(c) <- radix.(c - 1) * (caps.(c - 1) + 1)
   done;
-  let encode caps =
-    let acc = ref 0 in
-    Array.iteri (fun c v -> acc := !acc + (v * radix.(c))) caps;
-    !acc
-  in
-  let memo : (int, float) Hashtbl.t = Hashtbl.create 4096 in
-  (* The memo is keyed by (layer, capacity-vector); layers multiply the state
-     count, so cap the total table size to bound memory, falling back to the
-     MCMC sampler beyond it. *)
-  let budget = ref (min (10 * max_states) 1_000_000) in
-  (* logZ u caps: log total weight of completions placing instances
-     order.(u..) into remaining capacities. *)
-  let rec log_z u caps =
-    if u = k then 0.0 (* capacities sum to zero exactly when u = k *)
+  let memo = Array.make states Float.nan in
+  (* log_z u code: log total weight of completions placing instances
+     order.(u..) into the remaining capacities. *)
+  let rec log_z u code =
+    if u = k then 0.0
+    else if not (Float.is_nan memo.(code)) then memo.(code)
     else begin
-      let key = (u * states) + encode caps in
-      match Hashtbl.find_opt memo key with
-      | Some z -> z
-      | None ->
-          decr budget;
-          if !budget <= 0 then raise Too_large;
-          let inst = order.(u) in
-          let options = ref [] in
-          for c = 0 to tcount - 1 do
-            if caps.(c) > 0 then begin
-              caps.(c) <- caps.(c) - 1;
-              options := (log_class_weight.(inst).(c) +. log_z (u + 1) caps) :: !options;
-              caps.(c) <- caps.(c) + 1
-            end
+      let inst = order.(u) in
+      let m = ref neg_infinity in
+      for c = 0 to tcount - 1 do
+        if caps.(c) > 0 then m := Float.max !m (term u code inst c)
+      done;
+      (* Sum in descending c; the children are memo hits by now. *)
+      let z =
+        if !m = neg_infinity then neg_infinity
+        else begin
+          let acc = ref 0.0 in
+          for c = tcount - 1 downto 0 do
+            if caps.(c) > 0 then
+              acc := !acc +. Float.exp (term u code inst c -. !m)
           done;
-          let z = log_sum_exp !options in
-          Hashtbl.add memo key z;
-          z
+          !m +. Float.log !acc
+        end
+      in
+      memo.(code) <- z;
+      z
     end
+  (* Log weight of placing instance [inst] (layer u) in class c. *)
+  and term u code inst c =
+    caps.(c) <- caps.(c) - 1;
+    let x = log_class_weight.(inst).(c) +. log_z (u + 1) (code - radix.(c)) in
+    caps.(c) <- caps.(c) + 1;
+    x
   in
-  let caps = Array.copy capacities in
-  let total = log_z 0 caps in
-  if total = neg_infinity then failwith "Placement.sample_exact: infeasible";
+  let code = ref (states - 1) in
+  if log_z 0 !code = neg_infinity then
+    failwith "Placement.sample_exact: infeasible";
   (* Forward sampling of a position class per instance. *)
   let chosen_class = Array.make k (-1) in
   for u = 0 to k - 1 do
     let inst = order.(u) in
-    let logw = Array.make tcount neg_infinity in
-    for c = 0 to tcount - 1 do
-      if caps.(c) > 0 then begin
-        caps.(c) <- caps.(c) - 1;
-        logw.(c) <- log_class_weight.(inst).(c) +. log_z (u + 1) caps;
-        caps.(c) <- caps.(c) + 1
-      end
-    done;
+    let logw =
+      Array.init tcount (fun c ->
+          if caps.(c) > 0 then term u !code inst c else neg_infinity)
+    in
     let m = Array.fold_left Float.max neg_infinity logw in
     let probs = Array.map (fun x -> if x = neg_infinity then 0.0 else Float.exp (x -. m)) logw in
     let c = Cc_util.Dist.sample_weights probs prng in
     chosen_class.(inst) <- c;
-    caps.(c) <- caps.(c) - 1
+    caps.(c) <- caps.(c) - 1;
+    code := !code - radix.(c)
   done;
   (* Uniformly assign the instances of each class to its labeled positions. *)
   let sigma = Array.make k (-1) in
@@ -156,18 +152,12 @@ let sample_exact ?(max_states = 2_000_000) prng t =
 let matching_weight t sigma = Permanent.matching_weight t.weights sigma
 
 let sample ?mcmc_steps ?init prng t =
-  match sample_exact prng t with
-  | sigma -> sigma
-  | exception Too_large ->
-      let k = Array.length t.identities in
-      let steps =
-        match mcmc_steps with
-        | Some s -> s
-        | None -> Sampler.default_mcmc_steps k
-      in
-      Sampler.mcmc ?init prng t.weights ~steps
-
-(* Re-raise Too_large as Invalid_argument at the documented boundary. *)
-let sample_exact ?max_states prng t =
-  try sample_exact ?max_states prng t
-  with Too_large -> invalid_arg "Placement.sample_exact: state space too large"
+  if dp_states t <= max_states then sample_exact prng t
+  else
+    let k = Array.length t.identities in
+    let steps =
+      match mcmc_steps with
+      | Some s -> s
+      | None -> Sampler.default_mcmc_steps k
+    in
+    Sampler.mcmc ?init prng t.weights ~steps

@@ -19,8 +19,10 @@
     programming over row classes (state = remaining column capacities) and
     then assigns labeled instances/positions uniformly within classes. This
     is {e exact} and handles instances with thousands of midpoints as long as
-    the class structure is small; when the DP state space exceeds the cap the
-    caller should fall back to the generic samplers in {!Sampler}. *)
+    the class structure is small. The state count {!dp_states} is the only
+    size limit and is known before any work: callers compare it against
+    their cap and fall back to the generic samplers in {!Sampler} beyond
+    it. *)
 
 type t = {
   identities : int array;  (** identity class of each instance *)
@@ -38,22 +40,27 @@ val build :
   weight:(v:int -> p:int -> q:int -> float) ->
   t
 
-(** [dp_states t] is the size of the DP state space
-    (product over position classes of (count + 1)) — the feasibility
-    predictor for [sample_exact]. *)
+(** [dp_states t] is the size of the DP state space, the product over
+    position classes of (count + 1), saturating at [max_int] instead of
+    wrapping. It is exactly the length of [sample_exact]'s memo (a flat
+    [float array]; the all-empty state is the unmemoized base case), so it
+    predicts the DP's memory and time before any work is done. *)
 val dp_states : t -> int
 
 (** [sample_exact prng t] draws a matching sigma (position j -> instance
     sigma.(j)) exactly proportional to weight, via the contingency-table DP.
-    @raise Invalid_argument if [dp_states t] exceeds [max_states]
-    (default 2_000_000). *)
+    [max_states] (default 1_000_000) is the only limit; there is no hidden
+    work budget behind it.
+    @raise Invalid_argument if [dp_states t] exceeds [max_states], before
+    running the DP or drawing from [prng]. *)
 val sample_exact : ?max_states:int -> Cc_util.Prng.t -> t -> int array
 
-(** [sample ?mcmc_steps ?init prng t] uses [sample_exact] when feasible,
-    otherwise {!Sampler.mcmc} on the dense weights, started from [init]
-    (which must be a positive-weight matching when given — callers with a
-    witness assignment should pass it so the chain starts feasible even when
-    the support is sparse). *)
+(** [sample ?mcmc_steps ?init prng t] uses [sample_exact] when
+    [dp_states t] is within the default [max_states], otherwise
+    {!Sampler.mcmc} on the dense weights, started from [init] (which must
+    be a positive-weight matching when given — callers with a witness
+    assignment should pass it so the chain starts feasible even when the
+    support is sparse). *)
 val sample :
   ?mcmc_steps:int -> ?init:int array -> Cc_util.Prng.t -> t -> int array
 

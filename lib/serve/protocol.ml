@@ -25,26 +25,15 @@ type request = {
 
 let ( let* ) = Result.bind
 
-(* A spanning tree needs n - 1 edges, so a graph with n > m + 1 can never
-   be sampled. Rejecting it before Graph.of_edges keeps a one-line request
-   from allocating n-sized arrays (a huge "n" would otherwise raise
-   Out_of_memory inside the serve loop). *)
 let build_graph ~n edges =
-  let m = List.length edges in
-  if n > m + 1 then
-    Error
-      (Printf.sprintf "bad graph: %d vertices but only %d edges, no spanning tree"
-         n m)
-  else
-    try Ok (Graph.of_edges ~n edges)
-    with Invalid_argument m -> Error ("bad graph: " ^ m)
+  try Ok (Graph.of_edges ~spanning:true ~n edges)
+  with Invalid_argument m -> Error ("bad graph: " ^ m)
 
 let graph_of_json v =
   match v with
   | Json.String s -> (
-      match Graph.parse s with
-      | n, edges -> build_graph ~n edges
-      | exception (Invalid_argument m | Failure m) -> Error ("bad graph: " ^ m))
+      try Ok (Graph.of_string ~spanning:true s)
+      with Invalid_argument m | Failure m -> Error ("bad graph: " ^ m))
   | Json.Obj _ -> (
       let* n =
         match Option.bind (Json.member "n" v) Json.to_float_opt with

@@ -239,7 +239,12 @@ let test_of_string_errors () =
     (Invalid_argument "Graph.of_string: expected 'n <count>' header") (fun () ->
       ignore (Graph.of_string "vertices 4\ne 0 1"));
   check_raises "bad edge" (Invalid_argument "Graph.of_string: bad edge line")
-    (fun () -> ignore (Graph.of_string "n 4\nedge 0 1"))
+    (fun () -> ignore (Graph.of_string "n 4\nedge 0 1"));
+  (* Refused before of_edges allocates n-sized arrays. *)
+  check_raises "huge n"
+    (Invalid_argument
+       "Graph.of_edges: 4000000000000 vertices but only 1 edges, no spanning tree")
+    (fun () -> ignore (Graph.of_string ~spanning:true "n 4000000000000\ne 0 1"))
 
 (* Trailing content is an error, never dropped: otherwise "e 0 1 nan" and
    "e 0 1 abc" read as weight 1 and "e 0 1 2 9 9" as weight 2. *)
@@ -381,6 +386,34 @@ let test_mixing_time_bound_positive () =
 
 (* --- qcheck properties --- *)
 
+let of_string_total s =
+  match Graph.of_string ~spanning:true s with
+  | _ | (exception Invalid_argument _) -> true
+  | exception e ->
+      QCheck.Test.fail_reportf "of_string %S raised %s" s (Printexc.to_string e)
+
+(* Replace, insert or delete single bytes, biased toward the characters that
+   change a graph line's meaning, or blow a number up by 10^12. *)
+let edit =
+  let interesting = "0123456789 \n.-+eEnx#_" in
+  QCheck.Gen.(
+    triple (int_range 0 3) nat
+      (oneof
+         [ char; map (String.get interesting) (int_bound (String.length interesting - 1)) ]))
+
+let mutate base edits =
+  List.fold_left
+    (fun s (op, pos, c) ->
+      let len = String.length s in
+      let i = if len = 0 then 0 else pos mod len in
+      match op with
+      | 0 when len > 0 -> String.mapi (fun j x -> if j = i then c else x) s
+      | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (len - i)
+      | 2 when len > 0 -> String.sub s 0 i ^ String.sub s (i + 1) (len - i - 1)
+      | 3 -> String.sub s 0 i ^ String.make 12 '0' ^ String.sub s i (len - i)
+      | _ -> s)
+    base edits
+
 let qcheck_tests =
   let open QCheck in
   let params = make Gen.(pair (int_range 4 12) (int_range 0 10_000)) in
@@ -473,6 +506,26 @@ let qcheck_tests =
             ~max_weight:8
         in
         Float.abs (foster_sum g -. float_of_int (n - 1)) < 1e-6);
+    (* Graph files are a trust boundary: whatever the bytes, of_string
+       ~spanning:true returns a graph or raises Invalid_argument. *)
+    Test.make ~name:"of_string total on arbitrary bytes" ~count:500
+      (make ~print:Print.string Gen.(string_size (int_range 0 120)))
+      of_string_total;
+    Test.make ~name:"of_string total on mutated graphs" ~count:1000
+      (make ~print:Print.string
+         Gen.(
+           map2
+             (fun (n, seed) edits ->
+               let prng = Prng.create ~seed in
+               let g =
+                 Cc_graph.Gen.random_weights prng
+                   (Cc_graph.Gen.random_connected prng ~n ~extra_edges:n)
+                   ~max_weight:8
+               in
+               mutate (Graph.to_string g) edits)
+             (pair (int_range 2 8) (int_range 0 10_000))
+             (list_size (int_range 1 6) edit)))
+      of_string_total;
   ]
 
 let () =

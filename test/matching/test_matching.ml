@@ -270,6 +270,29 @@ let test_placement_sample_fallback () =
   Alcotest.(check int) "fallback valid" k
     (List.length (List.sort_uniq compare (Array.to_list sigma)))
 
+let test_placement_state_count_saturates () =
+  (* 64 distinct position classes of capacity 1: the true state count is
+     2^64, which a native-int product wraps to 0. The count must saturate,
+     the capped exact sampler must refuse before running the DP (so before
+     any PRNG draw), and [sample] must fall back to a valid matching. *)
+  let k = 64 in
+  let t =
+    Placement.build
+      ~identities:(Array.init k (fun i -> i mod 4))
+      ~positions:(Array.init k (fun i -> (i, i + 1)))
+      ~weight:(fun ~v ~p ~q -> 1.0 +. (float_of_int ((v + p + q) mod 3) /. 4.0))
+  in
+  Alcotest.(check int) "saturated" max_int (Placement.dp_states t);
+  let prng = Prng.create ~seed:15 and untouched = Prng.create ~seed:15 in
+  Alcotest.check_raises "refused"
+    (Invalid_argument "Placement.sample_exact: state space too large")
+    (fun () -> ignore (Placement.sample_exact ~max_states:50_000 prng t));
+  Alcotest.(check int) "no PRNG draw" (Prng.bits untouched ~width:30)
+    (Prng.bits prng ~width:30);
+  let sigma = Placement.sample prng t in
+  Alcotest.(check int) "fallback valid" k
+    (List.length (List.sort_uniq compare (Array.to_list sigma)))
+
 let test_placement_dp_with_zero_weights () =
   (* Class-compressed DP on a sparse-support instance must match the exact
      distribution over identity profiles. Two identities, two position
@@ -390,6 +413,8 @@ let () =
           Alcotest.test_case "matches generic exact" `Slow test_placement_matches_generic_exact;
           Alcotest.test_case "large instance" `Quick test_placement_large_instance;
           Alcotest.test_case "fallback to mcmc" `Quick test_placement_sample_fallback;
+          Alcotest.test_case "state count saturates" `Quick
+            test_placement_state_count_saturates;
           Alcotest.test_case "zero-weight DP" `Quick test_placement_dp_with_zero_weights;
           Alcotest.test_case "sparse DP law" `Slow test_placement_dp_sparse_distribution;
         ] );

@@ -894,6 +894,59 @@ let emit_parse s =
   | Ok _ -> Alcotest.failf "emitted %S reparsed as a non-string" out
   | Error e -> Alcotest.failf "emitted %S does not reparse: %s" out e
 
+(* Json.of_string reads artifacts and serve requests: whatever the bytes, it
+   answers Ok or Error and never raises. *)
+let json_qcheck_tests =
+  let open QCheck in
+  let total s =
+    match Json.of_string s with
+    | Ok _ | Error _ -> true
+    | exception e ->
+        Test.fail_reportf "Json.of_string %S raised %s" s (Printexc.to_string e)
+  in
+  let valid =
+    [|
+      {|{"a": [1, -2.5e3, true, null], "s": "q\"\u00e9\ud83d\ude00"}|};
+      {|[{"k": {}}, [], "", 123456789012345678901234567890]|};
+    |]
+  in
+  let interesting = "0123456789 \"\\/{}[],:.-+eEutrfalsn" in
+  let edit =
+    Gen.(
+      triple (int_range 0 2) nat
+        (oneof
+           [ char; map (String.get interesting) (int_bound (String.length interesting - 1)) ]))
+  in
+  let mutate base edits =
+    List.fold_left
+      (fun s (op, pos, c) ->
+        let len = String.length s in
+        let i = if len = 0 then 0 else pos mod len in
+        match op with
+        | 0 when len > 0 -> String.mapi (fun j x -> if j = i then c else x) s
+        | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (len - i)
+        | 2 when len > 0 -> String.sub s 0 i ^ String.sub s (i + 1) (len - i - 1)
+        | _ -> s)
+      base edits
+  in
+  [
+    Test.make ~name:"parse total on arbitrary bytes" ~count:500
+      (make ~print:Print.string Gen.(string_size (int_range 0 200)))
+      total;
+    Test.make ~name:"parse total on mutated documents"
+      ~count:1000
+      (make ~print:Print.string
+         Gen.(
+           map2
+             (fun b edits -> mutate valid.(b) edits)
+             (int_bound (Array.length valid - 1))
+             (list_size (int_range 1 8) edit)))
+      total;
+    Test.make ~name:"parse total on deep nesting" ~count:5
+      (make ~print:Print.int Gen.(int_range 1_000 100_000))
+      (fun depth -> total (String.make depth '[' ^ String.make (depth / 2) ']'));
+  ]
+
 let test_json_emit_control_chars () =
   let s = "a\x01b\x1fc" in
   let out, back = emit_parse s in
@@ -1219,7 +1272,8 @@ let () =
             test_json_emit_quote_backslash;
           Alcotest.test_case "emit non-BMP code points" `Quick
             test_json_emit_non_bmp;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest json_qcheck_tests );
       ( "recorder",
         [
           Alcotest.test_case "digest determinism and order" `Quick

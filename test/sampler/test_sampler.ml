@@ -368,6 +368,33 @@ let test_phase_walk_stats_sanity () =
   Alcotest.(check bool) "placements recorded" true
     (stats.Phase_walk.matchings_exact + stats.Phase_walk.matchings_mcmc >= 0)
 
+(* Every MCMC placement is counted under exactly one fallback reason. On
+   lollipop:48 seed 4 the long walks have placement instances whose DP state
+   count overflows a native int, so the state-count limit must fire. *)
+let test_placement_fallback_counters () =
+  let prng = Prng.create ~seed:4 in
+  let g = Gen.build prng Gen.Lollipop ~n:48 in
+  let net = Net.create ~n:48 in
+  Cc_obs.Metrics.reset ();
+  let r = Sampler.sample net prng g in
+  let mcmc =
+    List.fold_left
+      (fun acc s -> acc + s.Phase_walk.matchings_mcmc)
+      0 r.Sampler.phase_stats
+  in
+  let counter name =
+    match Cc_obs.Metrics.get name with
+    | Some (Cc_obs.Metrics.Counter c) -> c
+    | _ -> 0
+  in
+  let k_limit = counter "placement.fallback.k_limit"
+  and state_limit = counter "placement.fallback.state_limit" in
+  Alcotest.(check bool) "state limit fired" true (state_limit > 0);
+  Alcotest.(check int) "reasons sum to matchings_mcmc" mcmc
+    (k_limit + state_limit);
+  Alcotest.(check int) "metric agrees" mcmc
+    (counter "phase_walk.matchings_mcmc")
+
 (* --- failure injection / argument validation --- *)
 
 let test_phase_walk_argument_validation () =
@@ -688,6 +715,7 @@ let () =
         [
           Alcotest.test_case "phase walk validation" `Quick test_phase_walk_argument_validation;
           Alcotest.test_case "phase walk stats" `Quick test_phase_walk_stats_sanity;
+          Alcotest.test_case "fallback counters" `Quick test_placement_fallback_counters;
           Alcotest.test_case "tiny target_len" `Quick test_tiny_target_len_still_terminates;
           Alcotest.test_case "max_phases raises" `Quick test_max_phases_exhaustion_raises;
           Alcotest.test_case "weighted marginals" `Slow test_weighted_marginals_match_leverage;
