@@ -53,13 +53,13 @@ let set_title ~id ~title = Hashtbl.replace titles id title
    build; a no-op without [--json]. *)
 let observe_net ~id net =
   if enabled () then begin
-    let p = Cc_clique.Net.load_profile net in
+    let p = Cc_clique.Net.obs_profile net in
     let prev_load, prev_imb =
       Option.value ~default:(0, 0.0) (Hashtbl.find_opt loads id)
     in
     Hashtbl.replace loads id
-      ( max prev_load p.Cc_clique.Net.max_load,
-        Float.max prev_imb p.Cc_clique.Net.imbalance )
+      ( max prev_load (Cc_obs.Profile.max_load p),
+        Float.max prev_imb (Cc_obs.Profile.imbalance p) )
   end
 
 let finish_experiment ~id ~wall_s =

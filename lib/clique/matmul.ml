@@ -35,10 +35,10 @@ let rounds_estimate net backend = mul_cost net backend ~dim:(Net.n net)
 
 (* [book_mul] is the communication half of [mul]: it books exactly the Net
    events a [dim x dim] product emits — same primitives, same labels, same
-   word counts — without touching any matrix. Plan-cache hits replay bookings
-   through this mirror, so a warm draw's recorder digest chains over the
-   identical event sequence as the cold run that computed the product. Keep
-   the two in lockstep: any booking change in [mul] must land here too. *)
+   word counts — without touching any matrix. Power tables are computed
+   pure and booked through this mirror, so their recorder digest chains over
+   the same event sequence as a run that multiplied on the clique. Keep the
+   two in lockstep: any booking change in [mul] must land here too. *)
 let book_mul net backend ~dim =
   let n = Net.n net in
   match backend with
@@ -87,64 +87,28 @@ let mul net backend a b =
   book_mul net backend ~dim;
   Mat.mul a b
 
-let power_table net backend ?bits ?reuse m ~levels =
-  if Mat.rows m <> Mat.cols m then
-    invalid_arg "Matmul.power_table: matrix must be square";
-  if levels < 0 then invalid_arg "Matmul.power_table: negative levels";
-  (match reuse with
-  | Some t when Array.length t <> levels + 1 ->
-      invalid_arg "Matmul.power_table: reuse table has wrong length"
-  | _ -> ());
+let power_table ?bits m ~levels =
   Cc_obs.Trace.with_span "matmul.power_table"
     ~args:
       [
         ("dim", string_of_int (Mat.rows m));
         ("levels", string_of_int levels);
-        ("backend", backend_name backend);
-        ("reuse", string_of_bool (reuse <> None));
+        ("bits", match bits with None -> "exact" | Some b -> string_of_int b);
       ]
   @@ fun () ->
-  match reuse with
-  | Some cached ->
-      (* Factorization reuse: the powers are already known (a prepared plan
-         holds them), but the clique still pays for moving them — replay the
-         identical booking sequence, skip the arithmetic. Pure compute emits
-         no Net events, so the recorder digest chains identically either
-         way. *)
-      Cc_obs.Metrics.incr "matmul.power_table.reused";
-      Net.all_to_all net ~label:"power-table transpose"
-        ~words_each:(Net.entry_words net);
-      for _ = 1 to levels do
-        book_mul net backend ~dim:(Mat.rows m);
-        Net.all_to_all net ~label:"power-table transpose"
-          ~words_each:(Net.entry_words net)
-      done;
-      cached
-  | None ->
-      let maybe_round x =
-        match bits with None -> x | Some b -> Fixed.round_mat ~bits:b x
-      in
-      let table = Array.make (levels + 1) (maybe_round m) in
-      (* Column redistribution for the base matrix too (machine i sends
-         P[i,j] to machine j). *)
-      Net.all_to_all net ~label:"power-table transpose"
-        ~words_each:(Net.entry_words net);
-      for i = 1 to levels do
-        table.(i) <- maybe_round (mul net backend table.(i - 1) table.(i - 1));
-        Net.all_to_all net ~label:"power-table transpose"
-          ~words_each:(Net.entry_words net)
-      done;
-      table
+  let round = Option.map (fun bits -> Fixed.round_mat ~bits) bits in
+  Mat.power_table ?round m ~max_exp:levels
 
-let power_table_pure ?bits m ~levels =
-  if Mat.rows m <> Mat.cols m then
-    invalid_arg "Matmul.power_table_pure: matrix must be square";
-  if levels < 0 then invalid_arg "Matmul.power_table_pure: negative levels";
-  let maybe_round x =
-    match bits with None -> x | Some b -> Fixed.round_mat ~bits:b x
+(* Algorithm 1's Initialization Step as the clique pays for it: the column
+   redistribution of P (machine i sends P[i,j] to machine j), then per level
+   one squaring and the redistribution of the new power. *)
+let book_power_table net backend ~dim ~levels =
+  let transpose () =
+    Net.all_to_all net ~label:"power-table transpose"
+      ~words_each:(Net.entry_words net)
   in
-  let table = Array.make (levels + 1) (maybe_round m) in
-  for i = 1 to levels do
-    table.(i) <- maybe_round (Mat.mul table.(i - 1) table.(i - 1))
-  done;
-  table
+  transpose ();
+  for _ = 1 to levels do
+    book_mul net backend ~dim;
+    transpose ()
+  done

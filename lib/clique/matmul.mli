@@ -19,10 +19,12 @@
       loads — the best exponent achievable without fast (ring) matrix
       multiplication.
 
-    [power_table] implements the Initialization Step of Algorithm 1: compute
-    P, P^2, P^4, ..., P^(2^levels) and transpose-distribute so each machine
-    also holds its column of every power ("Every Machine i sends P^k[i,j] to
-    machine j"). *)
+    The Initialization Step of Algorithm 1 — compute P, P^2, P^4, ...,
+    P^(2^levels) and transpose-distribute so each machine also holds its
+    column of every power ("Every Machine i sends P^k[i,j] to machine j") —
+    is split in two: [power_table] is the arithmetic and
+    [book_power_table] the communication, so a prepared plan computes a
+    table once and every draw pays its rounds. *)
 
 type backend =
   | Charged of { alpha : float; coeff : float }
@@ -62,40 +64,18 @@ val rounds_estimate : Net.t -> backend -> float
     graph G' of Corollary 3 — each machine then simulates O(dim/n) rows). *)
 val mul_cost : Net.t -> backend -> dim:int -> float
 
-(** [book_mul net backend ~dim] books exactly the Net events [mul] would emit
-    for a [dim x dim] product — same primitives, labels, and word counts —
-    without performing any arithmetic. The plan cache's warm path replays
-    bookings through this mirror so a cache hit leaves the recorder digest
-    byte-identical to the cold run. *)
-val book_mul : Net.t -> backend -> dim:int -> unit
+(** [power_table ?bits m ~levels] returns
+    [[| m; m^2; m^4; ...; m^(2^levels) |]] (length [levels + 1]),
+    optionally truncating [m] and every square to [bits] fractional bits
+    (Lemma 3's rounded powering). Pure arithmetic: it books nothing, so a
+    table can be computed once (a prepared plan) and booked on every draw
+    with {!book_power_table}.
+    @raise Invalid_argument if [m] is not square or [levels < 0]. *)
+val power_table : ?bits:int -> Cc_linalg.Mat.t -> levels:int -> Cc_linalg.Mat.t array
 
-(** [power_table net backend ?bits m ~levels] returns
-    [[| m; m^2; m^4; ...; m^(2^levels) |]] (length [levels + 1]), squaring
-    with [backend] and optionally truncating entries to [bits] fractional
-    bits after every squaring (Lemma 3's rounded powering). Also books the
-    column-redistribution ([all_to_all]) after each level, matching
-    Algorithm 1 lines 2–3.
-
-    With [?reuse:table] (a table previously produced for the same matrix,
-    bits, and levels — the caller's responsibility), the arithmetic is
-    skipped and [table] is returned, but the full booking sequence (the
-    transpose redistributions and each squaring's rounds) is still charged:
-    a prepared plan saves compute, not communication, and the recorder
-    digest is identical either way. *)
-val power_table :
-  Net.t ->
-  backend ->
-  ?bits:int ->
-  ?reuse:Cc_linalg.Mat.t array ->
-  Cc_linalg.Mat.t ->
-  levels:int ->
-  Cc_linalg.Mat.t array
-
-(** [power_table_pure ?bits m ~levels] is the arithmetic of [power_table]
-    with no clique attached: used by [prepare] phases that precompute a
-    plan's power table outside any metered run. Combining
-    [power_table_pure] at prepare time with [power_table ~reuse] at draw
-    time yields the same matrices and the same bookings as a cold
-    [power_table]. *)
-val power_table_pure :
-  ?bits:int -> Cc_linalg.Mat.t -> levels:int -> Cc_linalg.Mat.t array
+(** [book_power_table net backend ~dim ~levels] books what computing a
+    [dim x dim] power table with [levels] squarings costs the clique
+    (Algorithm 1 lines 2–3): one column-redistribution [all_to_all], then
+    per level the Net events {!mul} books for one [dim x dim] product and
+    another [all_to_all]. *)
+val book_power_table : Net.t -> backend -> dim:int -> levels:int -> unit

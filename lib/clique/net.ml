@@ -32,16 +32,9 @@ type t = {
   mutable overhead_rounds : float;
   by_label : (string, entry) Hashtbl.t;
   by_machine : (string, lane) Hashtbl.t;
-  m_sent_words : int array;
-  m_recv_words : int array;
-  m_sent_messages : int array;
-  m_recv_messages : int array;
   mutable injected : Fault.t option;
-  (* Sinks in subscription order; the compat slot tracks the subscription
-     installed through the legacy set_sink interface. *)
-  mutable sinks : (sink_id * (event -> unit)) list;
+  mutable sinks : (sink_id * (event -> unit)) list;  (* subscription order *)
   mutable next_sink : sink_id;
-  mutable compat_sink : sink_id option;
 }
 
 let create ~n =
@@ -56,14 +49,9 @@ let create ~n =
     overhead_rounds = 0.0;
     by_label = Hashtbl.create 16;
     by_machine = Hashtbl.create 16;
-    m_sent_words = Array.make n 0;
-    m_recv_words = Array.make n 0;
-    m_sent_messages = Array.make n 0;
-    m_recv_messages = Array.make n 0;
     injected = None;
     sinks = [];
     next_sink = 0;
-    compat_sink = None;
   }
 
 let n t = t.n
@@ -76,16 +64,6 @@ let add_sink t f =
   id
 
 let remove_sink t id = t.sinks <- List.filter (fun (i, _) -> i <> id) t.sinks
-
-let set_sink t sink =
-  (match t.compat_sink with
-  | Some id ->
-      remove_sink t id;
-      t.compat_sink <- None
-  | None -> ());
-  match sink with
-  | Some f -> t.compat_sink <- Some (add_sink t f)
-  | None -> ()
 
 let kind_name = function
   | Exchange -> "exchange"
@@ -116,18 +94,14 @@ let lane_for t label =
       Hashtbl.add t.by_machine label l;
       l
 
-(* Attribute one primitive's per-machine word traffic to the running totals
-   and the label's lane. [sent]/[recv] are the words machine [i] sent and
-   received in this primitive; [sent_msgs]/[recv_msgs] the message counts. *)
-let attribute t ~label ~sent ~recv ~sent_msgs ~recv_msgs =
+(* Attribute one primitive's per-machine word traffic to the label's lane.
+   [sent]/[recv] are the words machine [i] sent and received in this
+   primitive. *)
+let attribute t ~label ~sent ~recv =
   let l = lane_for t label in
   for i = 0 to t.n - 1 do
     l.lane_sent.(i) <- l.lane_sent.(i) + sent.(i);
-    l.lane_recv.(i) <- l.lane_recv.(i) + recv.(i);
-    t.m_sent_words.(i) <- t.m_sent_words.(i) + sent.(i);
-    t.m_recv_words.(i) <- t.m_recv_words.(i) + recv.(i);
-    t.m_sent_messages.(i) <- t.m_sent_messages.(i) + sent_msgs.(i);
-    t.m_recv_messages.(i) <- t.m_recv_messages.(i) + recv_msgs.(i)
+    l.lane_recv.(i) <- l.lane_recv.(i) + recv.(i)
   done
 
 let book ?(sent = [||]) ?(recv = [||]) t ~kind ~label ~rounds ~messages ~words
@@ -178,7 +152,6 @@ let book ?(sent = [||]) ?(recv = [||]) t ~kind ~label ~rounds ~messages ~words
 
 let exchange t ~label packets =
   let sent = Array.make t.n 0 and received = Array.make t.n 0 in
-  let sent_msgs = Array.make t.n 0 and recv_msgs = Array.make t.n 0 in
   let messages = ref 0 and total_words = ref 0 in
   List.iter
     (fun { src; dst; words } ->
@@ -188,8 +161,6 @@ let exchange t ~label packets =
       if src <> dst && words > 0 then begin
         sent.(src) <- sent.(src) + words;
         received.(dst) <- received.(dst) + words;
-        sent_msgs.(src) <- sent_msgs.(src) + 1;
-        recv_msgs.(dst) <- recv_msgs.(dst) + 1;
         incr messages;
         total_words := !total_words + words
       end)
@@ -199,7 +170,7 @@ let exchange t ~label packets =
     load := max !load (max sent.(i) received.(i))
   done;
   if !load > 0 then begin
-    attribute t ~label ~sent ~recv:received ~sent_msgs ~recv_msgs;
+    attribute t ~label ~sent ~recv:received;
     let rounds = Float.of_int ((!load + t.n - 1) / t.n) in
     book t ~kind:Exchange ~label ~rounds ~messages:!messages
       ~words:!total_words ~max_load:!load ~sent ~recv:received
@@ -222,12 +193,9 @@ let broadcast t ~label ~src ~words =
        points at the source as the hot machine while the booked rounds keep
        the tree's balanced cost. *)
     let sent = Array.make t.n 0 and recv = Array.make t.n words in
-    let sent_msgs = Array.make t.n 0 and recv_msgs = Array.make t.n 1 in
     sent.(src) <- words;
     recv.(src) <- 0;
-    sent_msgs.(src) <- t.n - 1;
-    recv_msgs.(src) <- 0;
-    attribute t ~label ~sent ~recv ~sent_msgs ~recv_msgs;
+    attribute t ~label ~sent ~recv;
     book t ~kind:Broadcast ~label ~rounds ~messages:(t.n - 1)
       ~words:(words * (t.n - 1))
       ~max_load:words ~sent ~recv
@@ -239,9 +207,7 @@ let all_to_all t ~label ~words_each =
     let per_machine = words_each * (t.n - 1) in
     let sent = Array.make t.n per_machine
     and recv = Array.make t.n per_machine in
-    attribute t ~label ~sent ~recv
-      ~sent_msgs:(Array.make t.n (t.n - 1))
-      ~recv_msgs:(Array.make t.n (t.n - 1));
+    attribute t ~label ~sent ~recv;
     book t ~kind:All_to_all ~label
       ~rounds:(Float.of_int (max 1 words_each))
       ~messages ~words:(messages * words_each) ~max_load:per_machine ~sent
@@ -268,17 +234,11 @@ let aggregate t ~label ?(combinable = true) ~contributors ~dst words_each =
        one combined value when combining is possible, all [k] otherwise. *)
     let received = if combinable then words_each else total in
     let sent = Array.make t.n 0 and recv = Array.make t.n 0 in
-    let sent_msgs = Array.make t.n 0 and recv_msgs = Array.make t.n 0 in
     List.iter
-      (fun src ->
-        if src <> dst then begin
-          sent.(src) <- sent.(src) + words_each;
-          sent_msgs.(src) <- sent_msgs.(src) + 1
-        end)
+      (fun src -> if src <> dst then sent.(src) <- sent.(src) + words_each)
       contributors;
     recv.(dst) <- received;
-    recv_msgs.(dst) <- k;
-    attribute t ~label ~sent ~recv ~sent_msgs ~recv_msgs;
+    attribute t ~label ~sent ~recv;
     book t ~kind:Aggregate ~label ~rounds ~messages:k ~words:total
       ~max_load:(Array.fold_left max received sent)
       ~sent ~recv
@@ -436,26 +396,6 @@ let ledger t =
 
 (* --- per-machine load profile --- *)
 
-type machine_load = {
-  machine : int;
-  sent_words : int;
-  recv_words : int;
-  sent_messages : int;
-  recv_messages : int;
-  load : int;
-}
-
-type profile = {
-  machines : int;
-  per_machine : machine_load array;
-  max_load : int;
-  mean_load : float;
-  p50_load : float;
-  p95_load : float;
-  imbalance : float;
-  hot : (int * int) list;
-}
-
 let obs_profile t =
   let rows =
     Hashtbl.fold
@@ -470,30 +410,6 @@ let obs_profile t =
   in
   Cc_obs.Profile.create ~machines:t.n ~total_words:t.total_words rows
 
-let load_profile ?(top_k = 3) t =
-  let p = obs_profile t in
-  let per_machine =
-    Array.init t.n (fun i ->
-        {
-          machine = i;
-          sent_words = t.m_sent_words.(i);
-          recv_words = t.m_recv_words.(i);
-          sent_messages = t.m_sent_messages.(i);
-          recv_messages = t.m_recv_messages.(i);
-          load = max t.m_sent_words.(i) t.m_recv_words.(i);
-        })
-  in
-  {
-    machines = t.n;
-    per_machine;
-    max_load = Cc_obs.Profile.max_load p;
-    mean_load = Cc_obs.Profile.mean_load p;
-    p50_load = Cc_obs.Profile.quantile p 0.5;
-    p95_load = Cc_obs.Profile.quantile p 0.95;
-    imbalance = Cc_obs.Profile.imbalance p;
-    hot = Cc_obs.Profile.hot ~k:top_k p;
-  }
-
 let pp_profile fmt t =
   Format.pp_print_string fmt (Cc_obs.Profile.render (obs_profile t))
 
@@ -507,11 +423,7 @@ let reset t =
   Hashtbl.reset t.by_label;
   (* Per-machine profile state is part of the ledger and resets with it; the
      observability sink is wiring, not state, and stays installed. *)
-  Hashtbl.reset t.by_machine;
-  Array.fill t.m_sent_words 0 t.n 0;
-  Array.fill t.m_recv_words 0 t.n 0;
-  Array.fill t.m_sent_messages 0 t.n 0;
-  Array.fill t.m_recv_messages 0 t.n 0
+  Hashtbl.reset t.by_machine
 
 let word_bits t = max 8 (int_of_float (Float.ceil (Float.log2 (Float.of_int t.n))))
 

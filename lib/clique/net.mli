@@ -190,12 +190,6 @@ val add_sink : t -> (event -> unit) -> sink_id
 (** [remove_sink t id] cancels a subscription (idempotent). *)
 val remove_sink : t -> sink_id -> unit
 
-(** [set_sink t sink] installs (or with [None] removes) a single callback —
-    a thin compatibility wrapper over {!add_sink} / {!remove_sink} that
-    manages one dedicated subscription slot. Other {!add_sink} subscribers
-    are unaffected. *)
-val set_sink : t -> (event -> unit) option -> unit
-
 (** [attach_recorder t r] subscribes the flight recorder [r] to the event
     bus: every booked primitive is appended to [r] as a canonical
     {!Cc_obs.Recorder.record} (per-machine words copied, fault counters
@@ -226,33 +220,8 @@ val kind_name : event_kind -> string
     copy), an all-to-all evenly, an aggregate to its contributors and
     destination. Analytic {!charge}s move no attributable words. The profile
     is pure observation — building it reads the counters and never perturbs
-    the ledger. *)
-
-type machine_load = {
-  machine : int;
-  sent_words : int;  (** words this machine sent, across all labels. *)
-  recv_words : int;
-  sent_messages : int;
-  recv_messages : int;
-  load : int;  (** [max sent_words recv_words] — what rounds are paid for. *)
-}
-
-type profile = {
-  machines : int;
-  per_machine : machine_load array;  (** indexed by machine ID. *)
-  max_load : int;  (** the hottest machine's load. *)
-  mean_load : float;  (** balanced ideal: total booked words / machines. *)
-  p50_load : float;
-  p95_load : float;
-  imbalance : float;
-      (** [max_load /. mean_load]: [~1] for a balanced pattern (all-to-all),
-          [~n] when one machine carries all the traffic. *)
-  hot : (int * int) list;  (** top-k [(machine, load)], descending. *)
-}
-
-(** [load_profile ?top_k t] summarizes the per-machine traffic booked so far
-    ([top_k], default 3, bounds the [hot] list). *)
-val load_profile : ?top_k:int -> t -> profile
+    the ledger. Summaries (hottest machine, imbalance, quantiles) are
+    {!Cc_obs.Profile} functions of {!obs_profile}. *)
 
 (** [obs_profile t] is the full machine × label congestion matrix as a
     {!Cc_obs.Profile.t}, for heatmap rendering and JSONL export. *)
@@ -264,8 +233,8 @@ val pp_profile : Format.formatter -> t -> unit
 
 (** [reset t] zeroes all counters — the totals, the fault-overhead counters,
     every per-label entry, and the per-machine load profile. Event-bus
-    subscriptions ({!add_sink} and the {!set_sink} slot) are wiring, not
-    state, and survive a reset. *)
+    subscriptions ({!add_sink}) are wiring, not state, and survive a
+    reset. *)
 val reset : t -> unit
 
 (** [words_for_bits t bits] is the number of O(log n)-bit words needed to

@@ -19,10 +19,6 @@ type stats = {
   matchings_mcmc : int;
 }
 
-let next_pow2 x =
-  let rec go p e = if p >= x then (p, e) else go (2 * p) (e + 1) in
-  go 1 0
-
 let max_materialized = 2_000_000
 
 (* Placements solved by the exact DP: at most this many midpoints and DP
@@ -90,31 +86,18 @@ let book_loads net ~label ~sent ~recv ~messages =
     ignore messages
   end
 
-let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
-    ~target_len ~matching () =
-  let s_count = Mat.rows trans in
-  if Mat.cols trans <> s_count then invalid_arg "Phase_walk.run: trans not square";
+let run net prng ~backend ~powers ~machine_of ~start ~rho ~matching () =
+  let levels = Array.length powers - 1 in
+  if levels < 1 then invalid_arg "Phase_walk.run: powers below one level";
+  let s_count = Mat.rows powers.(0) in
   if rho < 2 then invalid_arg "Phase_walk.run: rho < 2";
-  if target_len < 2 then invalid_arg "Phase_walk.run: target_len < 2";
   if start < 0 || start >= s_count then invalid_arg "Phase_walk.run: bad start";
   let n = Net.n net in
   let ew = Net.entry_words net in
-  let _, levels = next_pow2 target_len in
   let counters = { c_checks = 0; c_midpoints = 0; c_exact = 0; c_mcmc = 0 } in
-  (* Initialization Step (Algorithm 1): distributed power table + endpoint.
-     When the caller passes a plan's [powers_slot], a filled slot replays the
-     table's bookings without recomputing it, and an empty slot is filled for
-     the next draw; either way the net sees the same events. *)
-  let powers =
-    match powers_slot with
-    | Some ({ contents = Some cached } as _slot) ->
-        Matmul.power_table net backend ?bits ~reuse:cached trans ~levels
-    | Some ({ contents = None } as slot) ->
-        let t = Matmul.power_table net backend ?bits trans ~levels in
-        slot := Some t;
-        t
-    | None -> Matmul.power_table net backend ?bits trans ~levels
-  in
+  (* Initialization Step (Algorithm 1): the clique pays for the distributed
+     power table (computed pure by the caller), then samples the endpoint. *)
+  Matmul.book_power_table net backend ~dim:s_count ~levels;
   let leader = machine_of start in
   let degenerate () =
     failwith

@@ -20,9 +20,8 @@
       fallback, or the "magical" assignment for the ablation mode — by
       Theorem 3 both induce the same walk law).
 
-    All data movement is metered through the [Net] ledger; matrix powers use
-    the configured [Matmul] backend and optional Lemma 3 fixed-point
-    truncation. *)
+    All data movement is metered through the [Net] ledger; the power table's
+    squarings are booked at the configured [Matmul] backend's cost. *)
 
 type matching_mode =
   | Resample of { mcmc_steps : int option }
@@ -40,32 +39,30 @@ type stats = {
   matchings_mcmc : int;  (** placements that fell back to the swap chain *)
 }
 
-(** [run net prng ~backend ?bits ~trans ~machine_of ~start ~rho ~target_len
-    ~matching ()] returns the walk (as indices into the phase graph) ending
-    at time tau = min(target_len rounded up to a power of two, first
-    occurrence of the rho-th distinct vertex), together with statistics.
+(** [run net prng ~backend ~powers ~machine_of ~start ~rho ~matching ()]
+    returns the walk (as indices into the phase graph) ending at time
+    tau = min(2^levels, first occurrence of the rho-th distinct vertex),
+    together with statistics.
+
+    [powers] is the phase graph's power table
+    [[| P; P^2; ...; P^(2^levels) |]] ({!Cc_clique.Matmul.power_table},
+    usually from a prepared {!Phase_plan}). [run] does no arithmetic on it
+    beyond reading entries; it books the table's communication through
+    {!Cc_clique.Matmul.book_power_table}, so a table reused across draws
+    costs the clique the same rounds as a fresh one.
 
     [machine_of i] is the clique machine hosting phase-vertex [i] (identity
     in phase 1, the S-array in later phases).
-
-    [powers_slot] is the factorization-reuse hook for prepared plans: a
-    filled slot supplies the power table of [trans] (the draws replay its
-    bookings via [Matmul.power_table ~reuse] instead of recomputing), an
-    empty slot is populated on first use. The caller guarantees the slot
-    belongs to this exact [trans]/[bits]/[target_len] combination.
-    @raise Invalid_argument if [trans] is not square/stochastic-ish, [rho]
-    < 2, or [target_len] < 2. *)
+    @raise Invalid_argument if [powers] has fewer than two entries,
+    [rho < 2], or [start] is out of range. *)
 val run :
   Cc_clique.Net.t ->
   Cc_util.Prng.t ->
   backend:Cc_clique.Matmul.backend ->
-  ?bits:int ->
-  ?powers_slot:Cc_linalg.Mat.t array option ref ->
-  trans:Cc_linalg.Mat.t ->
+  powers:Cc_linalg.Mat.t array ->
   machine_of:(int -> int) ->
   start:int ->
   rho:int ->
-  target_len:int ->
   matching:matching_mode ->
   unit ->
   int array * stats

@@ -3,11 +3,11 @@ module Tree = Cc_graph.Tree
 module Net = Cc_clique.Net
 module Fault = Cc_clique.Fault
 module Matmul = Cc_clique.Matmul
-module Mat = Cc_linalg.Mat
 module Prng = Cc_util.Prng
 module Dist = Cc_util.Dist
 module Schur = Cc_schur.Schur
 module Shortcut = Cc_schur.Shortcut
+module Topdown = Cc_walks.Topdown
 
 let log_src = Logs.Src.create "cc.sampler" ~doc:"phase driver"
 
@@ -47,40 +47,8 @@ type result = {
   health : Fault.health;
 }
 
-let next_pow2 x =
-  let rec go p = if p >= x then p else go (2 * p) in
-  go 1
-
-let log2_ceil x = (* for x a power of two this is exact *)
-  let rec go p e = if p >= x then e else go (2 * p) (e + 1) in
-  go 1 0
-
-(* Lazy mixing (I + P) / 2: kills the periodicity of bipartite (sub)graphs
-   so that coarse-level truncation can fire; self-loop steps never produce
-   first-visit edges, and the embedded non-lazy walk is exactly the original
-   walk, so the sampled tree's law is unchanged. *)
-let lazy_mix m =
-  let n = Mat.rows m in
-  Mat.init ~rows:n ~cols:n (fun i j ->
-      (0.5 *. Mat.get m i j) +. if i = j then 0.5 else 0.0)
-
-(* Numeric cleanup: clamp dust and renormalize rows so Phase_walk receives a
-   proper stochastic matrix. *)
-let sanitize_stochastic m =
-  Mat.normalize_rows
-    (Mat.init ~rows:(Mat.rows m) ~cols:(Mat.cols m) (fun i j ->
-         Float.max 0.0 (Mat.get m i j)))
-
-let default_schur_k n = next_pow2 (16 * n * n * n)
-
-(* Rounds for computing SHORTCUT + SCHUR via the paper's powering pipeline:
-   log2 k squarings of the 2n x 2n auxiliary chain plus the QR product. *)
-let charge_schur_pipeline net backend ~k =
-  let n = Net.n net in
-  let squarings = log2_ceil k in
-  Net.charge net ~label:"shortcut powering"
-    (Float.of_int squarings *. Matmul.mul_cost net backend ~dim:(2 * n));
-  Net.charge net ~label:"schur normalize" (Matmul.mul_cost net backend ~dim:n)
+(* The next power of two >= 16 n^3: k for the absorbing chain to mix. *)
+let default_schur_k n = 1 lsl Topdown.levels_for ~len:(16 * n * n * n)
 
 exception Degrade of Fault.failure
 
@@ -88,54 +56,29 @@ exception Degrade of Fault.failure
 (* Prepared plans: the graph-only half of the pipeline, computed once   *)
 (* and shared across draws (Section "prepare/draw" of DESIGN.md §15).   *)
 
-(* Per-phase memo entry for one vertex set S of a later phase: the
-   shortcut matrix Q, the sanitized (and lazy-mixed) Schur transition, and
-   the power-table slot Phase_walk fills on first use. All of it is pure
-   compute — the clique's charges for the Schur pipeline and the power
-   table are booked by [draw] on every draw, hit or miss, so the recorder
+(* A plan is the shared Phase_plan, with Q computed the way [config.schur]
+   says, plus this sampler's draw and memo counters. Everything cached is
+   pure compute: the clique's charges for the Schur pipeline and the power
+   tables are booked by [draw] on every draw, hit or miss, so the recorder
    digest never depends on the memo state. *)
-type phase_entry = {
-  e_q : Mat.t;
-  e_trans : Mat.t;
-  e_powers : Mat.t array option ref;
-}
-
 type plan = {
-  plan_graph : Graph.t;
+  phases : Phase_plan.t;
   plan_fingerprint : string;
   plan_config : config;
-  plan_rho : int;
-  plan_target_len : int;
   plan_max_phases : int;
-  plan_trans1 : Mat.t; (* phase-1 (lazy-mixed) transition matrix of G *)
-  plan_powers1 : Mat.t array option ref; (* its power table, filled eagerly *)
-  plan_memo : (string, phase_entry) Hashtbl.t; (* S-array -> entry *)
   mutable plan_draws : int;
   mutable plan_memo_hits : int;
   mutable plan_memo_misses : int;
 }
 
-(* Later-phase vertex sets are seed-dependent, so the memo is bounded:
-   beyond [memo_cap] distinct sets, fresh entries are computed but not
-   retained (replaying one seed stays fully memoized; a cap overflow only
-   costs recompute, never correctness). *)
-let memo_cap = 128
-
-let resolve_rho config n =
-  match config.rho with
-  | Some r -> max 2 (min r n)
-  | None -> max 2 (int_of_float (Float.ceil (sqrt (Float.of_int n))))
-
-let resolve_target_len config n =
-  match config.target_len with
-  | Some l -> next_pow2 (max 2 l)
-  | None ->
-      let lg = max 1 (int_of_float (Float.ceil (Float.log2 (Float.of_int n)))) in
-      next_pow2 (max 2 (n * n * n * lg))
-
 let resolve_max_phases config n =
   if config.max_phases > 0 then config.max_phases
   else 64 * (1 + int_of_float (sqrt (Float.of_int n)))
+
+let schur_k config n =
+  match config.schur with
+  | Exact_solve -> default_schur_k n
+  | Powering { k } -> Option.value ~default:(default_schur_k n) k
 
 let prepare ?(config = default_config) g =
   if not (Graph.is_connected g) then
@@ -149,77 +92,45 @@ let prepare ?(config = default_config) g =
         ("backend", Matmul.backend_name config.backend);
       ]
   @@ fun () ->
-  let target_len = resolve_target_len config n in
-  let trans1 = Graph.transition_matrix g in
-  let trans1 = if config.lazy_walk then lazy_mix trans1 else trans1 in
-  (* The phase-1 power table is the dominant graph-only cost; computing it
-     pure here and replaying its bookings at draw time (Matmul.power_table
-     ~reuse) yields bit-identical matrices and bookings to a cold run. *)
-  let levels = log2_ceil target_len in
-  let powers1 = Matmul.power_table_pure ?bits:config.bits trans1 ~levels in
+  let shortcut =
+    match config.schur with
+    | Exact_solve -> Shortcut.exact
+    | Powering _ ->
+        fun g ~in_s -> Shortcut.approx ?bits:config.bits g ~in_s ~k:(schur_k config n)
+  in
   {
-    plan_graph = g;
+    phases =
+      Phase_plan.prepare ?rho:config.rho ?target_len:config.target_len
+        ?bits:config.bits ~lazy_walk:config.lazy_walk ~shortcut g;
     plan_fingerprint = Graph.fingerprint g;
     plan_config = config;
-    plan_rho = resolve_rho config n;
-    plan_target_len = target_len;
     plan_max_phases = resolve_max_phases config n;
-    plan_trans1 = trans1;
-    plan_powers1 = ref (Some powers1);
-    plan_memo = Hashtbl.create 32;
     plan_draws = 0;
     plan_memo_hits = 0;
     plan_memo_misses = 0;
   }
 
 let plan_fingerprint plan = plan.plan_fingerprint
-let plan_config plan = plan.plan_config
-let plan_graph plan = plan.plan_graph
 
 let plan_stats plan =
   (plan.plan_draws, plan.plan_memo_hits, plan.plan_memo_misses)
 
-let memo_key s =
-  let buf = Buffer.create (4 * Array.length s) in
-  Array.iter
-    (fun v ->
-      Buffer.add_string buf (string_of_int v);
-      Buffer.add_char buf ',')
-    s;
-  Buffer.contents buf
-
-(* The pure per-S computation of a later phase, memoized on the plan. A hit
-   skips the Shortcut/Schur work (and its trace spans) entirely. *)
+(* The per-S memo lookup, counted as this plan's memo traffic. A hit skips
+   the Shortcut/Schur work (and its trace spans) entirely. *)
 let phase_entry plan ~s =
-  let key = memo_key s in
-  match Hashtbl.find_opt plan.plan_memo key with
-  | Some e ->
-      plan.plan_memo_hits <- plan.plan_memo_hits + 1;
-      Cc_obs.Metrics.incr "sampler.plan.memo_hit";
-      e
-  | None ->
-      plan.plan_memo_misses <- plan.plan_memo_misses + 1;
-      Cc_obs.Metrics.incr "sampler.plan.memo_miss";
-      let g = plan.plan_graph in
-      let n = Graph.n g in
-      let config = plan.plan_config in
-      let in_s = Schur.members ~n ~s in
-      let q =
-        match config.schur with
-        | Exact_solve -> Shortcut.exact g ~in_s
-        | Powering { k } ->
-            let k = Option.value ~default:(default_schur_k n) k in
-            Shortcut.approx ?bits:config.bits g ~in_s ~k
-      in
-      let trans = sanitize_stochastic (Schur.transition_via_shortcut g q ~s) in
-      let trans = if config.lazy_walk then lazy_mix trans else trans in
-      let e = { e_q = q; e_trans = trans; e_powers = ref None } in
-      if Hashtbl.length plan.plan_memo < memo_cap then
-        Hashtbl.add plan.plan_memo key e;
-      e
+  let entry, hit = Phase_plan.phase plan.phases ~s in
+  if hit then begin
+    plan.plan_memo_hits <- plan.plan_memo_hits + 1;
+    Cc_obs.Metrics.incr "sampler.plan.memo_hit"
+  end
+  else begin
+    plan.plan_memo_misses <- plan.plan_memo_misses + 1;
+    Cc_obs.Metrics.incr "sampler.plan.memo_miss"
+  end;
+  entry
 
 let draw plan ?faults net prng =
-  let g = plan.plan_graph in
+  let g = plan.phases.graph in
   let config = plan.plan_config in
   let n = Graph.n g in
   if Net.n net <> n then invalid_arg "Sampler.draw: net size must equal n";
@@ -313,8 +224,7 @@ let draw plan ?faults net prng =
           (List.init (n - 1) (fun i ->
                { Net.src = i + 1; dst = 0; words = chunk }))
   in
-  let rho = plan.plan_rho in
-  let target_len = plan.plan_target_len in
+  let rho = plan.phases.rho in
   let max_phases = plan.plan_max_phases in
   let visited = Array.make n false in
   visited.(0) <- true;
@@ -353,13 +263,12 @@ let draw plan ?faults net prng =
       (* Phase 1: walk on G itself; first-visit edges read off directly.
          When fewer than rho vertices exist, truncate at full coverage
          instead (the walk past cover time adds no first-visit edges). The
-         transition matrix and its power table come from the plan; the
-         bookings are replayed inside Phase_walk either way. *)
+         power table comes from the plan; Phase_walk books it. *)
       let walk, stats =
-        Phase_walk.run net prng ~backend:config.backend ?bits:config.bits
-          ~powers_slot:plan.plan_powers1 ~trans:plan.plan_trans1
+        Phase_walk.run net prng ~backend:config.backend
+          ~powers:plan.phases.powers1
           ~machine_of:(fun i -> i)
-          ~start:0 ~rho:(min rho n) ~target_len ~matching:config.matching ()
+          ~start:0 ~rho:(min rho n) ~matching:config.matching ()
       in
       stats_acc := stats :: !stats_acc;
       walk_total := !walk_total + Array.length walk - 1;
@@ -379,33 +288,19 @@ let draw plan ?faults net prng =
     end
     else begin
       (* Later phases: walk on SCHUR(G, S) with S = {current} + unvisited. *)
-      let s =
-        Array.of_list
-          (List.filter
-             (fun v -> v = !current || not visited.(v))
-             (List.init n (fun v -> v)))
-      in
+      let s, start_local = Phase_plan.vertex_set ~visited ~current:!current in
       let in_s = Schur.members ~n ~s in
       (* Pure Schur/shortcut state comes through the plan memo (a hit skips
          the compute); the clique still pays the paper's pipeline rounds on
          every draw, so hit and miss book identical Net events. *)
       let entry = phase_entry plan ~s in
-      let q = entry.e_q in
-      let k_charge =
-        match config.schur with
-        | Exact_solve -> default_schur_k n
-        | Powering { k } -> Option.value ~default:(default_schur_k n) k
-      in
-      charge_schur_pipeline net config.backend ~k:k_charge;
+      let q = entry.Phase_plan.q in
+      Schur.book_pipeline net config.backend ~k:(schur_k config n);
       heal_matrix_shares ();
-      let trans = entry.e_trans in
-      let local_of = Hashtbl.create (Array.length s) in
-      Array.iteri (fun i v -> Hashtbl.add local_of v i) s;
-      let start_local = Hashtbl.find local_of !current in
       if Array.length s = 2 then begin
         (* Degenerate two-vertex phase: the Schur walk is a single forced
            transition; sample the entry edge directly via Algorithm 4. *)
-        let v = if s.(0) = !current then s.(1) else s.(0) in
+        let v = s.(1 - start_local) in
         let weights =
           Shortcut.first_visit_weights g q ~in_s ~prev:!current ~target:v
         in
@@ -426,10 +321,10 @@ let draw plan ?faults net prng =
            walk exactly at coverage of S (beyond it no first-visit edge can
            appear), keeping the materialized walk near the phase cover time. *)
         let walk_local, stats =
-          Phase_walk.run net prng ~backend:config.backend ?bits:config.bits
-            ~powers_slot:entry.e_powers ~trans
+          Phase_walk.run net prng ~backend:config.backend
+            ~powers:(Lazy.force entry.powers)
             ~machine_of:(fun i -> s.(i))
-            ~start:start_local ~rho:(min rho (Array.length s)) ~target_len
+            ~start:start_local ~rho:(min rho (Array.length s))
             ~matching:config.matching ()
         in
         stats_acc := stats :: !stats_acc;

@@ -75,11 +75,14 @@ type result = {
 (** {1 Prepared plans}
 
     The pipeline splits into a graph-only half and a seed-dependent half:
-    [prepare] computes everything that depends on the graph alone — the
-    (lazy-mixed) phase-1 transition matrix and its full power table, plus a
-    memo that accumulates later phases' Schur/shortcut state as draws
-    encounter them — and [draw] runs the walk + matching phases against a
-    plan. The contract, relied on by the ccserve plan cache:
+    [prepare] builds the {!Phase_plan} shared with {!Sequential} — the
+    phase-1 power table of the (lazy-mixed) transition matrix, plus a memo
+    that accumulates later phases' shortcut matrices and power tables as
+    draws encounter them, with Q computed as [config.schur] says — and
+    [draw] runs the walk + matching phases against a plan, booking the
+    Schur pipeline ({!Cc_schur.Schur.book_pipeline}) and every power table
+    ({!Cc_clique.Matmul.book_power_table}) on each draw. The contract,
+    relied on by the ccserve plan cache:
 
     - [draw (prepare g) net prng] consumes exactly the same prng stream and
       books exactly the same Net events as [sample net prng g]; recorder
@@ -109,9 +112,6 @@ val draw :
 (** [plan_fingerprint plan] is {!Cc_graph.Graph.fingerprint} of the prepared
     graph — the plan cache's key material. *)
 val plan_fingerprint : plan -> string
-
-val plan_config : plan -> config
-val plan_graph : plan -> Cc_graph.Graph.t
 
 (** [plan_stats plan] is [(draws, memo_hits, memo_misses)] — cumulative
     draws served and later-phase memo traffic. *)

@@ -2,115 +2,27 @@ module Graph = Cc_graph.Graph
 module Tree = Cc_graph.Tree
 module Prng = Cc_util.Prng
 module Dist = Cc_util.Dist
-module Mat = Cc_linalg.Mat
 module Schur = Cc_schur.Schur
 module Shortcut = Cc_schur.Shortcut
 module Topdown = Cc_walks.Topdown
 
 type result = { tree : Tree.t; phases : int; walk_total : int }
 
-let next_pow2 x =
-  let rec go p = if p >= x then p else go (2 * p) in
-  go 1
-
-let sanitize m =
-  Mat.normalize_rows
-    (Mat.init ~rows:(Mat.rows m) ~cols:(Mat.cols m) (fun i j ->
-         Float.max 0.0 (Mat.get m i j)))
-
-(* ------------------------------------------------------------------ *)
-(* Prepared plans: mirrors Sampler's prepare/draw split for the
-   sequential reference. Everything here is pure compute, so memo hits
-   and misses are indistinguishable to the caller except in time — the
-   prng stream is untouched by caching. *)
-
-type phase_entry = {
-  e_q : Mat.t;
-  e_trans : Mat.t;
-  e_powers : Mat.t array option ref; (* power table, filled on first walk *)
-}
-
-type plan = {
-  plan_graph : Graph.t;
-  plan_rho : int;
-  plan_target_len : int;
-  plan_lazy_walk : bool;
-  plan_trans1 : Mat.t;
-  plan_powers1 : Mat.t array;
-  plan_memo : (string, phase_entry) Hashtbl.t;
-  mutable plan_draws : int;
-}
-
-(* Bounded like Sampler's memo: overflow recomputes instead of retaining. *)
-let memo_cap = 128
+(* A plan is the shared phase plan with an exact-solve shortcut and exact
+   arithmetic; everything in it is pure compute, so memo hits and misses are
+   indistinguishable to the caller except in time. *)
+type plan = Phase_plan.t
 
 let prepare ?rho ?target_len ?(lazy_walk = true) g =
   if not (Graph.is_connected g) then
     invalid_arg "Sequential.prepare: graph must be connected";
+  Phase_plan.prepare ?rho ?target_len ~lazy_walk ~shortcut:Shortcut.exact g
+
+let draw (plan : plan) prng =
+  let g = plan.graph in
   let n = Graph.n g in
-  let rho =
-    match rho with
-    | Some r -> max 2 (min r n)
-    | None -> max 2 (int_of_float (Float.ceil (sqrt (Float.of_int n))))
-  in
-  let target_len =
-    match target_len with
-    | Some l -> next_pow2 (max 2 l)
-    | None ->
-        let lg = max 1 (int_of_float (Float.ceil (Float.log2 (Float.of_int n)))) in
-        next_pow2 (max 2 (n * n * n * lg))
-  in
-  let trans1 = Graph.transition_matrix g in
-  let trans1 = if lazy_walk then Mat.half_lazy trans1 else trans1 in
-  let powers1 =
-    Mat.power_table trans1 ~max_exp:(Topdown.levels_for ~len:target_len)
-  in
-  {
-    plan_graph = g;
-    plan_rho = rho;
-    plan_target_len = target_len;
-    plan_lazy_walk = lazy_walk;
-    plan_trans1 = trans1;
-    plan_powers1 = powers1;
-    plan_memo = Hashtbl.create 32;
-    plan_draws = 0;
-  }
-
-let memo_key s =
-  let buf = Buffer.create (4 * Array.length s) in
-  Array.iter
-    (fun v ->
-      Buffer.add_string buf (string_of_int v);
-      Buffer.add_char buf ',')
-    s;
-  Buffer.contents buf
-
-let phase_entry plan ~s =
-  let key = memo_key s in
-  match Hashtbl.find_opt plan.plan_memo key with
-  | Some e -> e
-  | None ->
-      let g = plan.plan_graph in
-      let in_s = Schur.members ~n:(Graph.n g) ~s in
-      let q = Shortcut.exact g ~in_s in
-      let trans =
-        if Array.length s = 2 then q (* unused: the phase is a forced step *)
-        else begin
-          let t = sanitize (Schur.transition_via_shortcut g q ~s) in
-          if plan.plan_lazy_walk then Mat.half_lazy t else t
-        end
-      in
-      let e = { e_q = q; e_trans = trans; e_powers = ref None } in
-      if Hashtbl.length plan.plan_memo < memo_cap then
-        Hashtbl.add plan.plan_memo key e;
-      e
-
-let draw plan prng =
-  let g = plan.plan_graph in
-  let n = Graph.n g in
-  let rho = plan.plan_rho in
-  let target_len = plan.plan_target_len in
-  plan.plan_draws <- plan.plan_draws + 1;
+  let rho = plan.rho in
+  let target_len = plan.target_len in
   let visited = Array.make n false in
   visited.(0) <- true;
   let remaining = ref (n - 1) in
@@ -123,13 +35,15 @@ let draw plan prng =
     decr remaining;
     tree_edges := (u, v) :: !tree_edges
   in
+  (* Top-down filling of a truncated walk from a power table. *)
+  let walk powers ~start ~rho =
+    Topdown.sample_truncated_matrix prng ~trans:powers.(0) ~start ~target_len
+      ~rho ~powers ()
+  in
   while !remaining > 0 do
     incr phases;
     if !phases = 1 then begin
-      let walk =
-        Topdown.sample_truncated_matrix prng ~trans:plan.plan_trans1 ~start:0
-          ~target_len ~rho:(min rho n) ~powers:plan.plan_powers1 ()
-      in
+      let walk = walk plan.powers1 ~start:0 ~rho:(min rho n) in
       walk_total := !walk_total + Array.length walk - 1;
       Array.iteri
         (fun idx v -> if idx > 0 && not visited.(v) then claim walk.(idx - 1) v)
@@ -137,47 +51,25 @@ let draw plan prng =
       current := walk.(Array.length walk - 1)
     end
     else begin
-      let s =
-        Array.of_list
-          (List.filter
-             (fun v -> v = !current || not visited.(v))
-             (List.init n (fun v -> v)))
-      in
+      let s, start = Phase_plan.vertex_set ~visited ~current:!current in
       let in_s = Schur.members ~n ~s in
-      let entry = phase_entry plan ~s in
-      let q = entry.e_q in
+      let entry, _ = Phase_plan.phase plan ~s in
       let claim_via_shortcut prev v =
-        let weights = Shortcut.first_visit_weights g q ~in_s ~prev ~target:v in
+        let weights =
+          Shortcut.first_visit_weights g entry.q ~in_s ~prev ~target:v
+        in
         let idx = Dist.sample_weights (Array.map snd weights) prng in
         claim (fst weights.(idx)) v
       in
       if Array.length s = 2 then begin
-        let v = if s.(0) = !current then s.(1) else s.(0) in
+        let v = s.(1 - start) in
         claim_via_shortcut !current v;
         walk_total := !walk_total + 1;
         current := v
       end
       else begin
-        let trans = entry.e_trans in
-        let powers =
-          match !(entry.e_powers) with
-          | Some p -> p
-          | None ->
-              let p =
-                Mat.power_table trans
-                  ~max_exp:(Topdown.levels_for ~len:target_len)
-              in
-              entry.e_powers := Some p;
-              p
-        in
-        let local_of = Hashtbl.create (Array.length s) in
-        Array.iteri (fun i v -> Hashtbl.add local_of v i) s;
         let walk_local =
-          Topdown.sample_truncated_matrix prng ~trans
-            ~start:(Hashtbl.find local_of !current)
-            ~target_len
-            ~rho:(min rho (Array.length s))
-            ~powers ()
+          walk (Lazy.force entry.powers) ~start ~rho:(min rho (Array.length s))
         in
         walk_total := !walk_total + Array.length walk_local - 1;
         let walk = Array.map (fun i -> s.(i)) walk_local in

@@ -25,12 +25,13 @@ type result = {
 
 (** {1 Prepared plans}
 
-    The same prepare/draw split as {!Sampler}: [prepare] computes the
-    phase-1 transition matrix and its power table once and memoizes later
-    phases' Schur/shortcut state as draws encounter them; [draw] consumes
-    exactly the prng stream [sample] would, so a cached plan and a fresh
-    run produce identical trees for the same seed. Plans are not
-    thread-safe. *)
+    A plan is the {!Phase_plan} {!Sampler} uses, with the exact-solve
+    shortcut and exact arithmetic: [prepare] computes the phase-1 power
+    table once and memoizes later phases' shortcut matrices and power
+    tables as draws encounter them; [draw] fills each phase's walk top-down
+    (Lemma 2) from those tables and consumes exactly the prng stream
+    [sample] would, so a cached plan and a fresh run produce identical
+    trees for the same seed. Plans are not thread-safe. *)
 
 type plan
 

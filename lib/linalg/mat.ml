@@ -142,12 +142,12 @@ let half_lazy m =
   init ~rows:m.rows ~cols:m.cols (fun i j ->
       (0.5 *. get m i j) +. if i = j then 0.5 else 0.0)
 
-let power_table m ~max_exp =
+let power_table ?(round = Fun.id) m ~max_exp =
   if m.rows <> m.cols then invalid_arg "Mat.power_table: not square";
   if max_exp < 0 then invalid_arg "Mat.power_table: negative exponent";
-  let table = Array.make (max_exp + 1) m in
+  let table = Array.make (max_exp + 1) (round m) in
   for i = 1 to max_exp do
-    table.(i) <- mul table.(i - 1) table.(i - 1)
+    table.(i) <- round (mul table.(i - 1) table.(i - 1))
   done;
   table
 

@@ -60,9 +60,11 @@ val power : t -> int -> t
     matrix, which kills the periodicity of bipartite chains. *)
 val half_lazy : t -> t
 
-(** [power_table m ~max_exp] returns [[m; m^2; m^4; ...]] up to the largest
-    power of two <= 2^max_exp — the table built by the Initialization Step. *)
-val power_table : t -> max_exp:int -> t array
+(** [power_table ?round m ~max_exp] returns [[m; m^2; m^4; ...]] up to
+    [m^(2^max_exp)] — the table built by the Initialization Step. [round]
+    (default the identity) is applied to [m] and to every square before it
+    is stored and squared again, e.g. Lemma 3's fixed-point truncation. *)
+val power_table : ?round:(t -> t) -> t -> max_exp:int -> t array
 
 (** {1 Submatrices} *)
 

@@ -58,7 +58,7 @@ let transition_via_shortcut g q ~s =
         let denom = 1.0 -. diag in
         if denom <= 0.0 then 0.0 else Mat.get m u v /. denom)
 
-let approx ?net ?bits g ~s ~k =
+let approx ?bits g ~s ~k =
   let in_s = members ~n:(Graph.n g) ~s in
   Cc_obs.Trace.with_span "schur.approx"
     ~args:
@@ -68,11 +68,13 @@ let approx ?net ?bits g ~s ~k =
         ("k", string_of_int k);
       ]
   @@ fun () ->
-  let q = Shortcut.approx ?net ?bits g ~in_s ~k in
-  (match net with
-  | None -> ()
-  | Some (clique, backend) ->
-      (* One more n x n product (QR) plus a row-local normalization. *)
-      Net.charge clique ~label:"schur normalize"
-        (Matmul.mul_cost clique backend ~dim:(Graph.n g)));
-  transition_via_shortcut g q ~s
+  transition_via_shortcut g (Shortcut.approx ?bits g ~in_s ~k) ~s
+
+(* Rounds for computing SHORTCUT + SCHUR via the paper's powering pipeline:
+   log2 k squarings of the 2n x 2n auxiliary chain plus the QR product. *)
+let book_pipeline net backend ~k =
+  let n = Net.n net in
+  let rec log2_ceil p e = if p >= k then e else log2_ceil (2 * p) (e + 1) in
+  Net.charge net ~label:"shortcut powering"
+    (Float.of_int (log2_ceil 1 0) *. Matmul.mul_cost net backend ~dim:(2 * n));
+  Net.charge net ~label:"schur normalize" (Matmul.mul_cost net backend ~dim:n)

@@ -33,17 +33,21 @@ val transition_exact : Cc_graph.Graph.t -> s:int array -> Cc_linalg.Mat.t
 val transition_via_shortcut :
   Cc_graph.Graph.t -> Cc_linalg.Mat.t -> s:int array -> Cc_linalg.Mat.t
 
-(** [approx ?net ?bits g ~s ~k] is the full paper pipeline: approximate Q by
-    k-step powering (Corollary 3), then normalize (Corollary 4). Books
-    rounds under labels ["shortcut powering"] and ["schur normalize"] when
-    [net] is given. *)
+(** [approx ?bits g ~s ~k] is the full paper pipeline: approximate Q by
+    k-step powering (Corollary 3), then normalize (Corollary 4). Pure; see
+    {!book_pipeline} for its rounds. *)
 val approx :
-  ?net:Cc_clique.Net.t * Cc_clique.Matmul.backend ->
   ?bits:int ->
   Cc_graph.Graph.t ->
   s:int array ->
   k:int ->
   Cc_linalg.Mat.t
+
+(** [book_pipeline net backend ~k] books what the pipeline costs the clique:
+    [log2 k] squarings of the 2n x 2n auxiliary chain under
+    ["shortcut powering"] and the n x n product QR under
+    ["schur normalize"], both at {!Cc_clique.Matmul.mul_cost}. *)
+val book_pipeline : Cc_clique.Net.t -> Cc_clique.Matmul.backend -> k:int -> unit
 
 (** [members ~n ~s] is the characteristic vector of [s] on [n] vertices. *)
 val members : n:int -> s:int array -> bool array

@@ -2,8 +2,6 @@ module Graph = Cc_graph.Graph
 module Mat = Cc_linalg.Mat
 module Solve = Cc_linalg.Solve
 module Fixed = Cc_linalg.Fixed
-module Net = Cc_clique.Net
-module Matmul = Cc_clique.Matmul
 
 let check_s g ~in_s =
   let n = Graph.n g in
@@ -49,7 +47,7 @@ let auxiliary_chain g ~in_s =
       else if b = a + n then s_mass p ~in_s a
       else 0.0)
 
-let approx ?net ?bits g ~in_s ~k =
+let approx ?bits g ~in_s ~k =
   check_s g ~in_s;
   if k <= 0 || k land (k - 1) <> 0 then
     invalid_arg "Shortcut.approx: k must be a positive power of two";
@@ -59,20 +57,7 @@ let approx ?net ?bits g ~in_s ~k =
   let n = Graph.n g in
   let r = auxiliary_chain g ~in_s in
   let maybe_round m = match bits with None -> m | Some b -> Fixed.round_mat ~bits:b m in
-  let charge () =
-    match net with
-    | None -> ()
-    | Some (clique, backend) ->
-        Net.charge clique ~label:"shortcut powering"
-          (Matmul.mul_cost clique backend ~dim:(2 * n))
-  in
-  let rec go m k =
-    if k = 1 then m
-    else begin
-      charge ();
-      go (maybe_round (Mat.mul m m)) (k / 2)
-    end
-  in
+  let rec go m k = if k = 1 then m else go (maybe_round (Mat.mul m m)) (k / 2) in
   let rk = go (maybe_round r) k in
   Mat.init ~rows:n ~cols:n (fun u v -> Mat.get rk u (n + v))
 

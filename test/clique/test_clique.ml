@@ -5,6 +5,7 @@ module Net = Cc_clique.Net
 module Fault = Cc_clique.Fault
 module Matmul = Cc_clique.Matmul
 module Mat = Cc_linalg.Mat
+module Profile = Cc_obs.Profile
 module Prng = Cc_util.Prng
 
 let feq ?(eps = 1e-9) a b = Float.abs (a -. b) <= eps
@@ -140,20 +141,18 @@ let test_skewed_exchange_imbalance () =
   let net = Net.create ~n in
   Net.exchange net ~label:"skew"
     (List.init (n - 1) (fun i -> { Net.src = 0; dst = i + 1; words = n }));
-  let p = Net.load_profile net in
+  let p = Net.obs_profile net in
   Alcotest.(check int) "hot machine carries everything" (n * (n - 1))
-    p.Net.max_load;
-  Alcotest.(check (float 1e-9)) "imbalance = n" (float_of_int n) p.Net.imbalance;
-  (match p.Net.hot with
+    (Profile.max_load p);
+  Alcotest.(check (float 1e-9)) "imbalance = n" (float_of_int n)
+    (Profile.imbalance p);
+  (match Profile.hot p with
   | (m, load) :: _ ->
       Alcotest.(check int) "hot machine id" 0 m;
       Alcotest.(check int) "hot machine load" (n * (n - 1)) load
   | [] -> Alcotest.fail "no hot machine");
-  Alcotest.(check int) "sender words" (n * (n - 1))
-    p.Net.per_machine.(0).Net.sent_words;
-  Alcotest.(check int) "sender messages" (n - 1)
-    p.Net.per_machine.(0).Net.sent_messages;
-  Alcotest.(check int) "receiver words" n p.Net.per_machine.(1).Net.recv_words;
+  Alcotest.(check int) "sender words" (n * (n - 1)) p.Profile.total_sent.(0);
+  Alcotest.(check int) "receiver words" n p.Profile.total_recv.(1);
   (* The heatmap marks the hot machine's column. *)
   let rendered = Format.asprintf "%a" Net.pp_profile net in
   Alcotest.(check bool) "heatmap marks machine 0" true
@@ -170,11 +169,11 @@ let test_balanced_all_to_all_imbalance () =
   let n = 8 in
   let net = Net.create ~n in
   Net.all_to_all net ~label:"dense" ~words_each:3;
-  let p = Net.load_profile net in
-  Alcotest.(check int) "per-machine load" (3 * (n - 1)) p.Net.max_load;
-  Alcotest.(check (float 1e-9)) "imbalance = 1" 1.0 p.Net.imbalance;
+  let p = Net.obs_profile net in
+  Alcotest.(check int) "per-machine load" (3 * (n - 1)) (Profile.max_load p);
+  Alcotest.(check (float 1e-9)) "imbalance = 1" 1.0 (Profile.imbalance p);
   Alcotest.(check (float 1e-9)) "p50 = max (flat profile)"
-    (float_of_int p.Net.max_load) p.Net.p50_load
+    (float_of_int (Profile.max_load p)) (Profile.quantile p 0.5)
 
 let test_broadcast_attributes_source () =
   (* The source emits the payload once, every other machine takes a copy —
@@ -182,15 +181,12 @@ let test_broadcast_attributes_source () =
   let n = 16 in
   let net = Net.create ~n in
   Net.broadcast net ~label:"bc" ~src:3 ~words:160;
-  let p = Net.load_profile net in
-  Alcotest.(check int) "source sends the payload" 160
-    p.Net.per_machine.(3).Net.sent_words;
-  Alcotest.(check int) "source receives nothing" 0
-    p.Net.per_machine.(3).Net.recv_words;
-  Alcotest.(check int) "others send nothing" 0
-    p.Net.per_machine.(0).Net.sent_words;
-  Alcotest.(check int) "receiver load" 160 p.Net.per_machine.(0).Net.recv_words;
-  Alcotest.(check int) "max load = payload" 160 p.Net.max_load
+  let p = Net.obs_profile net in
+  Alcotest.(check int) "source sends the payload" 160 p.Profile.total_sent.(3);
+  Alcotest.(check int) "source receives nothing" 0 p.Profile.total_recv.(3);
+  Alcotest.(check int) "others send nothing" 0 p.Profile.total_sent.(0);
+  Alcotest.(check int) "receiver load" 160 p.Profile.total_recv.(0);
+  Alcotest.(check int) "max load = payload" 160 (Profile.max_load p)
 
 let test_aggregate_attributes_destination () =
   let n = 8 in
@@ -198,8 +194,7 @@ let test_aggregate_attributes_destination () =
   Net.aggregate net ~label:"agg" ~combinable:false
     ~contributors:(List.init n (fun i -> i))
     ~dst:0 8;
-  let p = Net.load_profile net in
-  (match p.Net.hot with
+  (match Profile.hot (Net.obs_profile net) with
   | (m, load) :: _ ->
       Alcotest.(check int) "gather destination is hot" 0 m;
       Alcotest.(check int) "destination receives everything" ((n - 1) * 8) load
@@ -209,7 +204,7 @@ let test_sink_sees_max_load () =
   let n = 8 in
   let net = Net.create ~n in
   let seen = ref [] in
-  Net.set_sink net (Some (fun ev -> seen := ev.Net.max_load :: !seen));
+  ignore (Net.add_sink net (fun ev -> seen := ev.Net.max_load :: !seen));
   Net.exchange net ~label:"t"
     (List.init (n - 1) (fun i -> { Net.src = i + 1; dst = 0; words = n }));
   Net.charge net ~label:"free" 2.0;
@@ -220,20 +215,21 @@ let test_reset_clears_profile () =
   let net = Net.create ~n:4 in
   Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 5 } ];
   Net.reset net;
-  let p = Net.load_profile net in
-  Alcotest.(check int) "max load" 0 p.Net.max_load;
-  Alcotest.(check (float 1e-9)) "imbalance of empty profile" 1.0 p.Net.imbalance;
-  Alcotest.(check (list (pair int int))) "no hot machines" [] p.Net.hot;
-  Array.iter
-    (fun m -> Alcotest.(check int) "per-machine zero" 0 m.Net.load)
-    p.Net.per_machine
+  let p = Net.obs_profile net in
+  Alcotest.(check int) "max load" 0 (Profile.max_load p);
+  Alcotest.(check (float 1e-9)) "imbalance of empty profile" 1.0
+    (Profile.imbalance p);
+  Alcotest.(check (list (pair int int))) "no hot machines" [] (Profile.hot p);
+  for i = 0 to 3 do
+    Alcotest.(check int) "per-machine zero" 0 (Profile.machine_load p i)
+  done
 
 let test_reset_keeps_sink () =
   (* The sink is observability wiring, not ledger state: a reset must leave
      an installed callback active. *)
   let net = Net.create ~n:4 in
   let count = ref 0 in
-  Net.set_sink net (Some (fun _ -> incr count));
+  ignore (Net.add_sink net (fun _ -> incr count));
   Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
   Alcotest.(check int) "sink saw the first booking" 1 !count;
   Net.reset net;
@@ -249,13 +245,12 @@ let test_profile_does_not_perturb () =
     Net.exchange net ~label:"a"
       (List.init (n - 1) (fun i -> { Net.src = 0; dst = i + 1; words = 3 }));
     if peek then begin
-      ignore (Net.load_profile net);
       ignore (Net.obs_profile net);
       ignore (Format.asprintf "%a" Net.pp_profile net)
     end;
     Net.broadcast net ~label:"b" ~src:2 ~words:40;
     Net.aggregate net ~label:"c" ~contributors:[ 1; 2; 3 ] ~dst:0 4;
-    if peek then ignore (Net.load_profile net);
+    if peek then ignore (Profile.summary_line (Net.obs_profile net));
     (Net.rounds net, Net.messages net, Net.words net, Net.ledger net)
   in
   let bare = drive false and observed = drive true in
@@ -321,26 +316,40 @@ let test_power_table_values () =
   let prng = Prng.create ~seed:3 in
   let n = 8 in
   let m = random_stochastic prng n in
-  let net = Net.create ~n in
-  let table = Matmul.power_table net (Matmul.charged ()) m ~levels:3 in
+  let table = Matmul.power_table m ~levels:3 in
   Alcotest.(check int) "length" 4 (Array.length table);
   Alcotest.(check bool) "m^8" true
-    (Mat.equal ~tol:1e-9 table.(3) (Mat.power m 8))
+    (Mat.equal ~tol:1e-9 table.(3) (Mat.power m 8));
+  let rounded = Matmul.power_table ~bits:20 m ~levels:3 in
+  Alcotest.(check bool) "rounding truncates every entry" true
+    (Array.for_all
+       (fun p ->
+         Mat.equal ~tol:0.0 p (Cc_linalg.Fixed.round_mat ~bits:20 p))
+       rounded);
+  Alcotest.(check bool) "rounded m^8 close" true
+    (Mat.equal ~tol:1e-4 rounded.(3) (Mat.power m 8))
 
 let test_power_table_books_rounds () =
-  let prng = Prng.create ~seed:4 in
   let n = 8 in
-  let m = random_stochastic prng n in
   let net = Net.create ~n in
-  ignore (Matmul.power_table net (Matmul.charged ()) m ~levels:5);
+  Matmul.book_power_table net (Matmul.charged ()) ~dim:n ~levels:5;
   (* 5 multiplications plus 6 transposes: rounds > 0 and at least 5 * charge. *)
   let per_mul = Matmul.rounds_estimate net (Matmul.charged ()) in
   Alcotest.(check bool) "booked at least the muls" true
-    (Net.rounds net >= 5.0 *. per_mul)
+    (Net.rounds net >= 5.0 *. per_mul);
+  let transposes =
+    List.filter (fun (l, _, _, _) -> l = "power-table transpose") (Net.ledger net)
+  in
+  match transposes with
+  | [ (_, r, _, _) ] ->
+      Alcotest.(check (float 1e-9)) "6 transposes"
+        (6.0 *. Float.of_int (Net.entry_words net)) r
+  | _ -> Alcotest.fail "no transpose booking"
 
 let test_power_table_reuse_books_identically () =
-  (* Replaying a cached table (the ccserve warm-plan path) must book the
-     exact same event stream as computing it: recorder digests equal. *)
+  (* A table computed once (a prepared plan) and booked on every draw: the
+     pure compute emits no event, and each booking is the same stream of
+     events as booking the squarings on the clique one by one. *)
   let prng = Prng.create ~seed:6 in
   let n = 8 in
   let m = random_stochastic prng n in
@@ -349,32 +358,42 @@ let test_power_table_reuse_books_identically () =
     let r = Cc_obs.Recorder.create ~machines:n () in
     ignore (Net.attach_recorder net r);
     let v = f net in
-    (v, Cc_obs.Recorder.digest_hex r, Net.rounds net)
+    (v, Cc_obs.Recorder.digest_hex r, Cc_obs.Recorder.total r)
   in
-  let cold, d_cold, r_cold =
-    record (fun net -> Matmul.power_table net (Matmul.charged ()) m ~levels:4)
+  let backend = Matmul.charged () in
+  let transpose net =
+    Net.all_to_all net ~label:"power-table transpose"
+      ~words_each:(Net.entry_words net)
   in
-  let pure = Matmul.power_table_pure m ~levels:4 in
-  let warm, d_warm, r_warm =
+  let on_clique, d_clique, e_clique =
     record (fun net ->
-        Matmul.power_table net (Matmul.charged ()) ~reuse:pure m ~levels:4)
+        let t = Array.make 5 m in
+        transpose net;
+        for i = 1 to 4 do
+          t.(i) <- Matmul.mul net backend t.(i - 1) t.(i - 1);
+          transpose net
+        done;
+        t)
   in
-  Alcotest.(check string) "digest" d_cold d_warm;
-  Alcotest.(check (float 1e-9)) "rounds" r_cold r_warm;
-  Alcotest.(check bool) "returns the cached table" true (warm == pure);
+  let pure, _, e_pure = record (fun _ -> Matmul.power_table m ~levels:4) in
+  Alcotest.(check int) "pure compute books nothing" 0 e_pure;
+  let book () =
+    let (), d, e =
+      record (fun net -> Matmul.book_power_table net backend ~dim:n ~levels:4)
+    in
+    (d, e)
+  in
+  let d1, e1 = book () and d2, _ = book () in
+  Alcotest.(check string) "booking = squaring on the clique" d_clique d1;
+  Alcotest.(check int) "events" e_clique e1;
+  Alcotest.(check string) "every booking identical" d1 d2;
   Array.iteri
     (fun i p ->
       Alcotest.(check bool)
         (Printf.sprintf "level %d values" i)
         true
-        (Mat.equal ~tol:1e-12 p cold.(i)))
-    warm;
-  Alcotest.check_raises "length mismatch rejected"
-    (Invalid_argument "Matmul.power_table: reuse table has wrong length")
-    (fun () ->
-      ignore
-        (Matmul.power_table (Net.create ~n) (Matmul.charged ())
-           ~reuse:(Array.sub pure 0 3) m ~levels:4))
+        (Mat.equal ~tol:0.0 p on_clique.(i)))
+    pure
 
 let test_semiring_backend () =
   let prng = Prng.create ~seed:5 in
@@ -457,7 +476,7 @@ let qcheck_tests =
           (Matmul.mul net Matmul.Routed_broadcast a b));
   ]
 
-(* --- event bus (add_sink / remove_sink / set_sink compat) --- *)
+(* --- event bus (add_sink / remove_sink) --- *)
 
 let test_add_sink_ordering () =
   let net = Net.create ~n:4 in
@@ -474,31 +493,12 @@ let test_add_sink_ordering () =
   Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
   Alcotest.(check (list string)) "removed sink is silent" [ "b" ] !order
 
-let test_set_sink_coexists_with_add_sink () =
-  (* The legacy set_sink slot is one subscription among many: installing or
-     clearing it must not disturb add_sink subscribers. *)
-  let net = Net.create ~n:4 in
-  let order = ref [] in
-  ignore (Net.add_sink net (fun _ -> order := "bus" :: !order));
-  Net.set_sink net (Some (fun _ -> order := "compat" :: !order));
-  Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
-  Alcotest.(check (list string))
-    "both fire, earlier subscription first" [ "bus"; "compat" ]
-    (List.rev !order);
-  (* Replacing the compat sink re-subscribes it (moves to the back), and
-     clearing it leaves the bus subscriber alone. *)
-  Net.set_sink net (Some (fun _ -> order := "compat2" :: !order));
-  Net.set_sink net None;
-  order := [];
-  Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
-  Alcotest.(check (list string)) "compat slot cleared" [ "bus" ] !order
-
 let test_reset_keeps_all_sinks () =
   let net = Net.create ~n:4 in
   let hits = ref 0 in
   ignore (Net.add_sink net (fun _ -> incr hits));
   ignore (Net.add_sink net (fun _ -> incr hits));
-  Net.set_sink net (Some (fun _ -> incr hits));
+  ignore (Net.add_sink net (fun _ -> incr hits));
   Net.reset net;
   Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
   Alcotest.(check int) "all three subscriptions survive reset" 3 !hits
@@ -627,8 +627,6 @@ let () =
         [
           Alcotest.test_case "add_sink ordering + remove" `Quick
             test_add_sink_ordering;
-          Alcotest.test_case "set_sink compat slot" `Quick
-            test_set_sink_coexists_with_add_sink;
           Alcotest.test_case "all sinks survive reset" `Quick
             test_reset_keeps_all_sinks;
           Alcotest.test_case "per-machine words on events" `Quick

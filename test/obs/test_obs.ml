@@ -241,13 +241,13 @@ let test_event_timeline_and_kinds () =
   Alcotest.(check (float 1e-9)) "round clock" (Net.rounds net)
     last.Trace.round_clock
 
-let test_set_sink_receives_events () =
+let test_add_sink_receives_events () =
   let net = Net.create ~n:4 in
   let seen = ref [] in
-  Net.set_sink net (Some (fun (e : Net.event) -> seen := e :: !seen));
+  let id = Net.add_sink net (fun (e : Net.event) -> seen := e :: !seen) in
   Net.broadcast net ~label:"b" ~src:0 ~words:5;
   Net.charge net ~label:"c" 1.0;
-  Net.set_sink net None;
+  Net.remove_sink net id;
   Net.charge net ~label:"after" 1.0;
   let evs = List.rev !seen in
   Alcotest.(check (list string))
@@ -1236,8 +1236,8 @@ let () =
             test_net_events_attributed_to_open_spans;
           Alcotest.test_case "event timeline kinds and clock" `Quick
             test_event_timeline_and_kinds;
-          Alcotest.test_case "set_sink delivers and detaches" `Quick
-            test_set_sink_receives_events;
+          Alcotest.test_case "add_sink delivers and detaches" `Quick
+            test_add_sink_receives_events;
           Alcotest.test_case "sampler root spans sum to Net.rounds" `Quick
             test_sampler_root_span_matches_ledger;
           Alcotest.test_case "tracing does not perturb the ledger" `Quick

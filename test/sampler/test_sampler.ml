@@ -25,17 +25,21 @@ module Sequential = Cc_sampler.Sequential
 
 let default = Sampler.default_config
 
+(* The power table a walk of [target_len] steps on [trans] needs. *)
+let powers_for trans ~target_len =
+  Matmul.power_table trans ~levels:(Cc_walks.Topdown.levels_for ~len:target_len)
+
 (* --- Phase_walk vs the sequential reference (Lemma 2) --- *)
 
 let phase_walk_once ?(matching = Phase_walk.Resample { mcmc_steps = None }) g
     ~rho ~target_len prng =
   let n = Graph.n g in
   let net = Net.create ~n in
-  let trans = Graph.transition_matrix g in
+  let powers = powers_for (Graph.transition_matrix g) ~target_len in
   fst
-    (Phase_walk.run net prng ~backend:(Matmul.charged ()) ~trans
+    (Phase_walk.run net prng ~backend:(Matmul.charged ()) ~powers
        ~machine_of:(fun i -> i)
-       ~start:0 ~rho ~target_len ~matching ())
+       ~start:0 ~rho ~matching ())
 
 let test_phase_walk_is_valid_walk () =
   let g = Gen.complete 6 in
@@ -355,11 +359,11 @@ let test_phase_walk_stats_sanity () =
   let g = Gen.complete 6 in
   let net = Net.create ~n:6 in
   let prng = Prng.create ~seed:60 in
-  let trans = Graph.transition_matrix g in
+  let powers = powers_for (Graph.transition_matrix g) ~target_len:256 in
   let _, stats =
-    Phase_walk.run net prng ~backend:(Matmul.charged ()) ~trans
+    Phase_walk.run net prng ~backend:(Matmul.charged ()) ~powers
       ~machine_of:(fun i -> i)
-      ~start:0 ~rho:3 ~target_len:256
+      ~start:0 ~rho:3
       ~matching:(Phase_walk.Resample { mcmc_steps = None })
       ()
   in
@@ -403,16 +407,17 @@ let test_phase_walk_argument_validation () =
   let trans = Graph.transition_matrix (Gen.complete 4) in
   let run ?(rho = 2) ?(target_len = 8) ?(start = 0) () =
     ignore
-      (Phase_walk.run net prng ~backend:(Matmul.charged ()) ~trans
+      (Phase_walk.run net prng ~backend:(Matmul.charged ())
+         ~powers:(powers_for trans ~target_len)
          ~machine_of:(fun i -> i)
-         ~start ~rho ~target_len
+         ~start ~rho
          ~matching:(Phase_walk.Resample { mcmc_steps = None })
          ())
   in
   Alcotest.check_raises "rho < 2" (Invalid_argument "Phase_walk.run: rho < 2")
     (fun () -> run ~rho:1 ());
   Alcotest.check_raises "target_len < 2"
-    (Invalid_argument "Phase_walk.run: target_len < 2") (fun () ->
+    (Invalid_argument "Phase_walk.run: powers below one level") (fun () ->
       run ~target_len:1 ());
   Alcotest.check_raises "bad start" (Invalid_argument "Phase_walk.run: bad start")
     (fun () -> run ~start:7 ())

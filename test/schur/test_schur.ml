@@ -204,12 +204,23 @@ let test_shortcut_approx_converges () =
     (List.nth errs 3 < 1e-6)
 
 let test_shortcut_approx_books_rounds () =
-  let prng = Prng.create ~seed:6 in
-  let g = Gen.random_connected prng ~n:8 ~extra_edges:4 in
-  let in_s = Array.init 8 (fun i -> i < 4) in
+  (* The powering pipeline is pure; its rounds are booked separately: log2 k
+     squarings of the 2n x 2n auxiliary chain plus the n x n product QR. *)
   let net = Net.create ~n:8 in
-  ignore (Shortcut.approx ~net:(net, Matmul.charged ()) g ~in_s ~k:64);
-  Alcotest.(check bool) "rounds booked" true (Net.rounds net > 0.0)
+  let backend = Matmul.charged () in
+  Schur.book_pipeline net backend ~k:64;
+  Alcotest.(check bool) "rounds booked" true (Net.rounds net > 0.0);
+  let cost dim = Matmul.mul_cost net backend ~dim in
+  let ledger = Net.ledger net in
+  let rounds label =
+    List.fold_left
+      (fun acc (l, r, _, _) -> if l = label then r else acc)
+      0.0 ledger
+  in
+  Alcotest.(check (float 1e-9)) "6 squarings of the 2n chain"
+    (6.0 *. cost 16) (rounds "shortcut powering");
+  Alcotest.(check (float 1e-9)) "one QR product" (cost 8)
+    (rounds "schur normalize")
 
 let test_schur_approx_matches_exact () =
   let prng = Prng.create ~seed:7 in
