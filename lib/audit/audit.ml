@@ -64,6 +64,7 @@ type t = {
   edge_u : int array;
   edge_v : int array;
   leverage : float array;
+  oracle_edges : Dist.t; (* the leverages as a distribution over edges *)
   is_bridge : bool array;
   counts : int array;
   (* Lag-1 machinery: [prev] is the previous tree's inclusion bit per edge,
@@ -190,6 +191,8 @@ let create ?(alpha = 1e-3) ?(min_trials = 32) ?(small_limit = 8)
     edge_u;
     edge_v;
     leverage;
+    oracle_edges =
+      Dist.of_weights (Array.map (fun p -> Float.max p 1e-300) leverage);
     is_bridge;
     counts = Array.make m 0;
     prev = Bytes.make m '\000';
@@ -278,23 +281,21 @@ let sum_z2 t =
   done;
   !acc
 
-let tv_edges t =
-  if t.trials = 0 then Float.nan
+(* The oracle side of TV and KL is fixed at [create]; the empirical side is
+   built once per call and shared by both divergences in a snapshot. *)
+let empirical_edges t =
+  if t.trials = 0 then None
   else
-    let emp = Array.map float_of_int t.counts in
-    let oracle = Array.map (fun p -> Float.max p 1e-300) t.leverage in
-    match Dist.of_weights emp with
-    | d -> Dist.tv d (Dist.of_weights oracle)
-    | exception Invalid_argument _ -> Float.nan
+    match Dist.of_weights (Array.map float_of_int t.counts) with
+    | d -> Some d
+    | exception Invalid_argument _ -> None
 
-let kl_edges t =
-  if t.trials = 0 then Float.nan
-  else
-    let emp = Array.map float_of_int t.counts in
-    let oracle = Array.map (fun p -> Float.max p 1e-300) t.leverage in
-    match Dist.of_weights emp with
-    | d -> Dist.kl d (Dist.of_weights oracle)
-    | exception Invalid_argument _ -> Float.nan
+let divergence f t = function
+  | None -> Float.nan
+  | Some emp -> f emp t.oracle_edges
+
+let tv_edges t = divergence Dist.tv t (empirical_edges t)
+let kl_edges t = divergence Dist.kl t (empirical_edges t)
 
 let ess t =
   let nf = float_of_int t.trials in
@@ -400,12 +401,13 @@ let verdict t =
 (* Accumulation                                                        *)
 
 let take_snapshot t =
+  let emp = empirical_edges t in
   let snap =
     {
       at = t.trials;
       s_max_z = max_z t;
-      s_tv = tv_edges t;
-      s_kl = kl_edges t;
+      s_tv = divergence Dist.tv t emp;
+      s_kl = divergence Dist.kl t emp;
       s_ess = ess t;
       s_small_tv = small_tv t;
     }

@@ -357,7 +357,7 @@ let draw plan ?faults net prng =
   done;
   let tree = Tree.of_edges ~n !tree_edges in
   assert (Tree.is_spanning_tree g tree);
-  (* The Degrade path below must NOT also report: its Sequential.sample call
+  (* The Degrade path below must NOT also report: its Sequential draw
      already reaches the audit sink, and reporting twice would double-count
      the degraded tree. *)
   Cc_audit.Audit.observe_sink g tree;
@@ -383,8 +383,15 @@ let draw plan ?faults net prng =
        still an exact sample; only the round complexity is lost. *)
     Log.warn (fun m -> m "degrading to sequential sampler: %a" Fault.pp_health
         (Fault.Unrecoverable failure));
-    let seq = Sequential.sample ?rho:config.rho ?target_len:config.target_len
-        ~lazy_walk:config.lazy_walk g prng
+    let seq =
+      match (config.bits, config.schur) with
+      | None, Exact_solve ->
+          (* The plan already is the sequential sampler's plan: same Q,
+             same unrounded tables, so no table is recomputed. *)
+          Sequential.draw plan.phases prng
+      | _ ->
+          Sequential.sample ?rho:config.rho ?target_len:config.target_len
+            ~lazy_walk:config.lazy_walk g prng
     in
     Net.charge_overhead net ~label:"sequential fallback:retry" (Float.of_int n);
     {

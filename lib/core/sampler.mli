@@ -67,9 +67,11 @@ type result = {
           were retransmitted and corrupted matrix shares / walk segments
           recomputed — the tree is exactly as trustworthy as a fault-free
           sample. [Unrecoverable]: a machine crashed (the Schur pipeline
-          needs every machine), so the run degraded to {!Sequential.sample}
-          at the leader — the tree is still an exact sample, but the
-          sublinear round bound is lost. *)
+          needs every machine), so the run degraded to the sequential
+          sampler at the leader ({!Sequential.draw} on this plan's
+          {!Phase_plan} under exact solve and exact arithmetic, else a
+          fresh {!Sequential.sample}) — the tree is still an exact sample,
+          but the sublinear round bound is lost. *)
 }
 
 (** {1 Prepared plans}

@@ -37,8 +37,7 @@ let draw (plan : plan) prng =
   in
   (* Top-down filling of a truncated walk from a power table. *)
   let walk powers ~start ~rho =
-    Topdown.sample_truncated_matrix prng ~trans:powers.(0) ~start ~target_len
-      ~rho ~powers ()
+    Topdown.sample_truncated_matrix prng ~powers ~start ~target_len ~rho ()
   in
   while !remaining > 0 do
     incr phases;

@@ -31,9 +31,11 @@ type result = {
     tables as draws encounter them; [draw] fills each phase's walk top-down
     (Lemma 2) from those tables and consumes exactly the prng stream
     [sample] would, so a cached plan and a fresh run produce identical
-    trees for the same seed. Plans are not thread-safe. *)
+    trees for the same seed. Plans are not thread-safe. A {!Sampler} plan
+    with exact solve and exact arithmetic holds the same {!Phase_plan}, so
+    its crash-stop fallback draws from it directly. *)
 
-type plan
+type plan = Phase_plan.t
 
 (** @raise Invalid_argument on disconnected input. *)
 val prepare :

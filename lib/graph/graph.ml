@@ -123,11 +123,18 @@ let adjacency_matrix g =
     g.edges;
   m
 
+(* O(n + m) past the zero fill: each row's degree is folded once and its
+   nonzero entries come straight from [adj] (no repeated neighbors), so every
+   entry equals [edge_weight g u v /. d] bit for bit. *)
 let transition_matrix g =
-  Cc_linalg.Mat.init ~rows:g.n ~cols:g.n (fun u v ->
-      let d = weighted_degree g u in
-      if d = 0.0 then if u = v then 1.0 else 0.0
-      else edge_weight g u v /. d)
+  let p = Cc_linalg.Mat.create ~rows:g.n ~cols:g.n 0.0 in
+  let data = Cc_linalg.Mat.data p in
+  for u = 0 to g.n - 1 do
+    let d = weighted_degree g u and row = u * g.n in
+    if d = 0.0 then data.(row + u) <- 1.0
+    else Array.iter (fun (v, w) -> data.(row + v) <- w /. d) g.adj.(u)
+  done;
+  p
 
 let laplacian g =
   Cc_linalg.Mat.init ~rows:g.n ~cols:g.n (fun u v ->

@@ -18,11 +18,12 @@ let round_mat ~bits m =
   Cc_obs.Metrics.observe "fixed.round_error" !max_delta;
   rounded
 
-let rounded_power ~bits m k =
+let rounded_power ?bits m k =
   if k <= 0 || k land (k - 1) <> 0 then
     invalid_arg "Fixed.rounded_power: k must be a positive power of two";
-  let rec go acc k = if k = 1 then acc else go (round_mat ~bits (Mat.mul acc acc)) (k / 2) in
-  go (round_mat ~bits m) k
+  let round m = match bits with None -> m | Some bits -> round_mat ~bits m in
+  let rec go acc k = if k = 1 then acc else go (round (Mat.mul acc acc)) (k / 2) in
+  go (round m) k
 
 (* E(1) = delta, E(k) = (n+1) E(k/2) + delta with delta = 2^-bits. *)
 let lemma3_error_bound ~n ~k ~bits =

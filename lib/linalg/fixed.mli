@@ -15,9 +15,10 @@ val round_down : bits:int -> float -> float
 (** [round_mat ~bits m] truncates every entry. *)
 val round_mat : bits:int -> Mat.t -> Mat.t
 
-(** [rounded_power ~bits m k] is M'(k) of Lemma 3: round after every
-    squaring step. [k] must be a power of two (as in the paper). *)
-val rounded_power : bits:int -> Mat.t -> int -> Mat.t
+(** [rounded_power ?bits m k] is M'(k) of Lemma 3: round after every
+    squaring step. [k] must be a power of two (as in the paper). Without
+    [bits] nothing is rounded: [m^k] by plain repeated squaring. *)
+val rounded_power : ?bits:int -> Mat.t -> int -> Mat.t
 
 (** [lemma3_bits ~n ~k ~beta] is the number of fractional bits sufficient for
     subtractive error at most [beta] after computing a k-th power of an n x n

@@ -29,6 +29,7 @@ let identity n = init ~rows:n ~cols:n (fun i j -> if i = j then 1.0 else 0.0)
 let copy m = { m with data = Array.copy m.data }
 let rows m = m.rows
 let cols m = m.cols
+let data m = m.data
 
 let get m i j =
   if i < 0 || i >= m.rows || j < 0 || j >= m.cols then
@@ -80,18 +81,28 @@ let transpose m = init ~rows:m.cols ~cols:m.rows (fun i j -> get m j i)
 (* i-k-j loop order: the inner loop walks both [b] and [out] row-contiguously.
    Rows of [out] are independent, so large products fan the row loop out over
    the engine; each row's k-j accumulation order is unchanged, keeping the
-   floating-point result bit-identical at every domain count. *)
+   floating-point result bit-identical at every domain count. The unchecked
+   accesses rest on the dimension check plus the length check below: every
+   index is [r * cols + c] with [r < rows] and [c < cols] of its operand. *)
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mul: dimension mismatch";
   let out = create ~rows:a.rows ~cols:b.cols 0.0 in
+  let ad = a.data and bd = b.data and od = out.data in
+  let inner = a.cols and width = b.cols in
+  if Array.length ad <> a.rows * inner || Array.length bd <> b.rows * width then
+    invalid_arg "Mat.mul: corrupt operand";
   let row i =
-    for k = 0 to a.cols - 1 do
-      let aik = a.data.((i * a.cols) + k) in
-      if aik <> 0.0 then
-        let brow = k * b.cols and orow = i * b.cols in
-        for j = 0 to b.cols - 1 do
-          out.data.(orow + j) <- out.data.(orow + j) +. (aik *. b.data.(brow + j))
+    let arow = i * inner and orow = i * width in
+    for k = 0 to inner - 1 do
+      let aik = Array.unsafe_get ad (arow + k) in
+      if aik <> 0.0 then begin
+        let brow = k * width in
+        for j = 0 to width - 1 do
+          Array.unsafe_set od (orow + j)
+            (Array.unsafe_get od (orow + j)
+            +. (aik *. Array.unsafe_get bd (brow + j)))
         done
+      end
     done
   in
   let engine = Cc_engine.get () in

@@ -10,8 +10,8 @@ type t
 (** Minimum work estimate (entries touched) before a row kernel dispatches
     through {!Cc_engine.parallel_for}. The cutoff picks the execution
     strategy only — results are bit-identical on either path — and is shared
-    by the other dense kernels ([Solve], [Shortcut]) so the whole linalg
-    layer flips to parallel at a consistent operand size. *)
+    by [Solve]'s multi-column solves so the whole linalg layer flips to
+    parallel at a consistent operand size. *)
 val par_threshold : int
 
 (** {1 Construction and access} *)
@@ -22,6 +22,13 @@ val identity : int -> t
 val copy : t -> t
 val rows : t -> int
 val cols : t -> int
+
+(** [data m] is the row-major backing array of [m] — entry (i, j) at
+    [i * cols m + j] — shared, not copied: writes through it mutate [m].
+    For dense kernels ([Solve], [Graph], [Shortcut]) that fill or walk a
+    matrix in flat loops instead of per-entry {!get}/{!set} calls. *)
+val data : t -> float array
+
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 

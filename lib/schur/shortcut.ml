@@ -25,16 +25,34 @@ let exact g ~in_s =
     ~args:[ ("n", string_of_int (Graph.n g)) ]
   @@ fun () ->
   let n = Graph.n g in
-  let p = Graph.transition_matrix g in
-  (* Transient chain: moves only to vertices outside S. *)
-  let t = Mat.init ~rows:n ~cols:n (fun w x -> if in_s.(x) then 0.0 else Mat.get p w x) in
-  let i_minus_t = Mat.sub (Mat.identity n) t in
-  (* Q = (I - T)^{-1} diag(s_mass). Hoist the per-column S-mass out of the
-     n^2 init (it only depends on the column) — one engine pass over the
-     machines instead of an O(n) rescan per entry. *)
-  let fundamental = Solve.inverse i_minus_t in
-  let sm = Cc_engine.parallel_map (Cc_engine.get ()) n (s_mass p ~in_s) in
-  Mat.init ~rows:n ~cols:n (fun u v -> Mat.get fundamental u v *. sm.(v))
+  let p = Mat.data (Graph.transition_matrix g) in
+  (* One flat pass over P builds I - T, where the transient chain T moves
+     only to vertices outside S, and each row's S-mass (summed over S in
+     increasing column order, as [s_mass] does). *)
+  let i_minus_t = Mat.create ~rows:n ~cols:n 0.0 in
+  let a = Mat.data i_minus_t in
+  let sm = Array.make n 0.0 in
+  for w = 0 to n - 1 do
+    let row = w * n in
+    let mass = ref 0.0 in
+    for x = 0 to n - 1 do
+      let pwx = p.(row + x) in
+      let t = if in_s.(x) then 0.0 else pwx in
+      a.(row + x) <- (if w = x then 1.0 else 0.0) -. t;
+      if in_s.(x) then mass := !mass +. pwx
+    done;
+    sm.(w) <- !mass
+  done;
+  (* Q = (I - T)^{-1} diag(s_mass), scaled in place. *)
+  let q = Solve.inverse i_minus_t in
+  let qd = Mat.data q in
+  for u = 0 to n - 1 do
+    let row = u * n in
+    for v = 0 to n - 1 do
+      qd.(row + v) <- qd.(row + v) *. sm.(v)
+    done
+  done;
+  q
 
 (* The 2n x 2n auxiliary chain of Corollary 3: states 0..n-1 are L-copies
    (walking, not yet entered S), states n..2n-1 are absorbing R-copies. *)
@@ -56,9 +74,7 @@ let approx ?bits g ~in_s ~k =
   @@ fun () ->
   let n = Graph.n g in
   let r = auxiliary_chain g ~in_s in
-  let maybe_round m = match bits with None -> m | Some b -> Fixed.round_mat ~bits:b m in
-  let rec go m k = if k = 1 then m else go (maybe_round (Mat.mul m m)) (k / 2) in
-  let rk = go (maybe_round r) k in
+  let rk = Fixed.rounded_power ?bits r k in
   Mat.init ~rows:n ~cols:n (fun u v -> Mat.get rk u (n + v))
 
 (* Total edge weight from u into S (= deg_S(u) on unweighted graphs). *)

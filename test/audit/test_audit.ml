@@ -210,6 +210,25 @@ let test_artifact_rejects_garbage () =
   | Ok _ -> Alcotest.fail "missing header accepted"
   | Error _ -> ()
 
+(* --- edge divergences --- *)
+
+let test_edge_divergences_reference () =
+  (* TV and KL against the oracle's edge distribution, rebuilt here from
+     the public edge stats exactly as the formula reads: bit for bit. *)
+  let g = Gen.lollipop ~clique:6 ~tail:4 in
+  let aud = feed ~trials:40 Cc_walks.Wilson.sample_tree g in
+  let stats = Audit.edge_stats aud in
+  let dist f = Cc_util.Dist.of_weights (Array.of_list (List.map f stats)) in
+  let emp = dist (fun e -> float_of_int e.Audit.count) in
+  let oracle = dist (fun e -> Float.max e.Audit.leverage 1e-300) in
+  let bits = Int64.bits_of_float in
+  Alcotest.(check int64) "tv" (bits (Cc_util.Dist.tv emp oracle))
+    (bits (Audit.tv_edges aud));
+  Alcotest.(check int64) "kl" (bits (Cc_util.Dist.kl emp oracle))
+    (bits (Audit.kl_edges aud));
+  Alcotest.(check bool) "no trials: nan" true
+    (Float.is_nan (Audit.tv_edges (Audit.create g)))
+
 (* --- zero perturbation --- *)
 
 let test_zero_perturbation_digest () =
@@ -264,6 +283,7 @@ let () =
         [
           Alcotest.test_case "star features" `Quick test_features_star;
           Alcotest.test_case "ess bounds" `Quick test_ess_bounds;
+          Alcotest.test_case "edge divergences" `Quick test_edge_divergences_reference;
         ] );
       ( "sink",
         [

@@ -286,6 +286,255 @@ let qcheck_tests =
         err <= Fixed.lemma3_error_bound ~n ~k ~bits);
   ]
 
+(* --- Bit-identity of the flat kernels ---
+
+   The references below are the accessor-based kernels the flat rewrites
+   replaced, kept here only as oracles: every entry goes through
+   [Mat.get]/[Mat.set], LU re-checks singularity per right-hand side and
+   copies each column. The rewrites must agree with them bit for bit
+   ([Int64.bits_of_float], so the sign of every zero counts too). *)
+
+module Ref = struct
+  let pivot_tol = 1e-13
+
+  let lu m =
+    let n = Mat.rows m in
+    let a = Mat.copy m in
+    let perm = Array.init n (fun i -> i) in
+    let swaps = ref 0 in
+    for k = 0 to n - 1 do
+      let best = ref k in
+      for i = k + 1 to n - 1 do
+        if Float.abs (Mat.get a i k) > Float.abs (Mat.get a !best k) then best := i
+      done;
+      if !best <> k then begin
+        for j = 0 to n - 1 do
+          let tmp = Mat.get a k j in
+          Mat.set a k j (Mat.get a !best j);
+          Mat.set a !best j tmp
+        done;
+        let tmp = perm.(k) in
+        perm.(k) <- perm.(!best);
+        perm.(!best) <- tmp;
+        incr swaps
+      end;
+      let pivot = Mat.get a k k in
+      if Float.abs pivot > pivot_tol then
+        for i = k + 1 to n - 1 do
+          let factor = Mat.get a i k /. pivot in
+          Mat.set a i k factor;
+          for j = k + 1 to n - 1 do
+            Mat.set a i j (Mat.get a i j -. (factor *. Mat.get a k j))
+          done
+        done
+    done;
+    (a, perm, !swaps)
+
+  let is_singular (a, _, _) =
+    let n = Mat.rows a in
+    let rec go k = k < n && (Float.abs (Mat.get a k k) <= pivot_tol || go (k + 1)) in
+    go 0
+
+  let lu_solve ((a, perm, _) as f) b =
+    let n = Mat.rows a in
+    if Array.length b <> n then invalid_arg "Solve.lu_solve: dimension mismatch";
+    if is_singular f then failwith "Solve.lu_solve: singular matrix";
+    let y = Array.init n (fun i -> b.(perm.(i))) in
+    for i = 1 to n - 1 do
+      for j = 0 to i - 1 do
+        y.(i) <- y.(i) -. (Mat.get a i j *. y.(j))
+      done
+    done;
+    for i = n - 1 downto 0 do
+      for j = i + 1 to n - 1 do
+        y.(i) <- y.(i) -. (Mat.get a i j *. y.(j))
+      done;
+      y.(i) <- y.(i) /. Mat.get a i i
+    done;
+    y
+
+  let solve_mat m b =
+    let f = lu m in
+    let n = Mat.rows b and k = Mat.cols b in
+    let out = Mat.create ~rows:n ~cols:k 0.0 in
+    for j = 0 to k - 1 do
+      let x = lu_solve f (Mat.col b j) in
+      for i = 0 to n - 1 do
+        Mat.set out i j x.(i)
+      done
+    done;
+    out
+
+  let inverse m = solve_mat m (Mat.identity (Mat.rows m))
+
+  let log_determinant m =
+    let ((a, _, swaps) as f) = lu m in
+    if is_singular f then (0, neg_infinity)
+    else begin
+      let sign = ref (if swaps land 1 = 1 then -1 else 1) and acc = ref 0.0 in
+      for k = 0 to Mat.rows a - 1 do
+        let d = Mat.get a k k in
+        if d < 0.0 then sign := - !sign;
+        acc := !acc +. Float.log (Float.abs d)
+      done;
+      (!sign, !acc)
+    end
+
+  let mul a b =
+    let out = Mat.create ~rows:(Mat.rows a) ~cols:(Mat.cols b) 0.0 in
+    for i = 0 to Mat.rows a - 1 do
+      for k = 0 to Mat.cols a - 1 do
+        let aik = Mat.get a i k in
+        if aik <> 0.0 then
+          for j = 0 to Mat.cols b - 1 do
+            Mat.set out i j (Mat.get out i j +. (aik *. Mat.get b k j))
+          done
+      done
+    done;
+    out
+end
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let check_bits_vec msg expected actual =
+  Alcotest.(check int) (msg ^ " length") (Array.length expected) (Array.length actual);
+  Array.iteri
+    (fun i x ->
+      if not (same_bits x actual.(i)) then
+        Alcotest.failf "%s: entry %d differs: %h vs %h" msg i x actual.(i))
+    expected
+
+let check_bits_mat msg expected actual =
+  Alcotest.(check (pair int int)) (msg ^ " dims")
+    (Mat.rows expected, Mat.cols expected)
+    (Mat.rows actual, Mat.cols actual);
+  let actual = Mat.to_arrays actual in
+  Array.iteri
+    (fun i row -> check_bits_vec (Printf.sprintf "%s row %d" msg i) row actual.(i))
+    (Mat.to_arrays expected)
+
+(* Seeded square inputs: dense signed (pivot swaps on almost every column),
+   small integers (magnitude ties, where only the first maximum may win the
+   pivot), sparse with exact zeros and negative entries (signs of zero),
+   diagonally dominant (no swaps), and I - T for a substochastic T (the
+   shortcut kernel's own shape). *)
+let kernel_inputs () =
+  let prng = Prng.create ~seed:1501 in
+  List.concat_map
+    (fun n ->
+      let dense = random_matrix prng ~rows:n ~cols:n in
+      let rec ties () =
+        let m = Mat.init ~rows:n ~cols:n (fun _ _ -> Float.of_int (Prng.int prng 5 - 2)) in
+        if Ref.is_singular (Ref.lu m) then ties () else m
+      in
+      let ties = ties () in
+      let sparse =
+        Mat.init ~rows:n ~cols:n (fun i j ->
+            if i = j then 0.5 +. Prng.float prng 1.0
+            else if Prng.int prng 3 = 0 then Prng.float prng 2.0 -. 1.0
+            else 0.0)
+      in
+      let dominant =
+        Mat.init ~rows:n ~cols:n (fun i j ->
+            if i = j then Float.of_int n +. 1.0 else Prng.float prng 1.0)
+      in
+      let t = random_stochastic prng n in
+      let i_minus_t =
+        Mat.init ~rows:n ~cols:n (fun i j ->
+            (if i = j then 1.0 else 0.0) -. if j mod 3 = 0 then 0.0 else Mat.get t i j)
+      in
+      [ (n, "dense", dense); (n, "ties", ties); (n, "sparse", sparse); (n, "dominant", dominant);
+        (n, "I-T", i_minus_t) ])
+    [ 2; 3; 5; 8; 13; 21; 33; 48; 64 ]
+
+let test_lu_solve_bit_identical () =
+  let prng = Prng.create ~seed:1502 in
+  List.iter
+    (fun (n, kind, m) ->
+      let msg = Printf.sprintf "%s n=%d" kind n in
+      let b = Array.init n (fun _ -> Prng.float prng 2.0 -. 1.0) in
+      check_bits_vec (msg ^ " solve") (Ref.lu_solve (Ref.lu m) b) (Solve.solve m b);
+      let f = Solve.lu m in
+      let b2 = Array.init n (fun i -> if i mod 2 = 0 then 0.0 else -1.0) in
+      check_bits_vec (msg ^ " lu_solve reuse") (Ref.lu_solve (Ref.lu m) b2)
+        (Solve.lu_solve f b2);
+      let sign, logdet = Solve.log_determinant m in
+      let rsign, rlogdet = Ref.log_determinant m in
+      Alcotest.(check int) (msg ^ " det sign") rsign sign;
+      if not (same_bits rlogdet logdet) then Alcotest.failf "%s: log det differs" msg)
+    (kernel_inputs ())
+
+let test_solve_mat_inverse_bit_identical () =
+  let prng = Prng.create ~seed:1503 in
+  List.iter
+    (fun (n, kind, m) ->
+      let msg = Printf.sprintf "%s n=%d" kind n in
+      check_bits_mat (msg ^ " inverse") (Ref.inverse m) (Solve.inverse m);
+      let b = random_matrix prng ~rows:n ~cols:(1 + Prng.int prng n) in
+      check_bits_mat (msg ^ " solve_mat") (Ref.solve_mat m b) (Solve.solve_mat m b);
+      (* The identity as a general right-hand side takes the unskipped path. *)
+      check_bits_mat (msg ^ " solve_mat I") (Ref.inverse m)
+        (Solve.solve_mat m (Mat.identity n)))
+    (kernel_inputs ())
+
+let test_singular_kernels_raise () =
+  let singular =
+    [
+      Mat.of_arrays [| [| 1.0; 1.0 |]; [| 1.0; 1.0 |] |];
+      Mat.of_arrays [| [| 0.0; 0.0; 0.0 |]; [| 1.0; 2.0; 3.0 |]; [| 2.0; 1.0; 0.0 |] |];
+      (* Row of an isolated state outside S: I - T with T = 1 on the diagonal. *)
+      Mat.of_arrays [| [| 0.0; 0.0 |]; [| -0.5; 1.0 |] |];
+    ]
+  in
+  let fail = Failure "Solve.lu_solve: singular matrix" in
+  List.iter
+    (fun m ->
+      let n = Mat.rows m in
+      Alcotest.check_raises "reference raises" fail (fun () ->
+          ignore (Ref.inverse m));
+      Alcotest.check_raises "solve" fail (fun () ->
+          ignore (Solve.solve m (Array.make n 1.0)));
+      Alcotest.check_raises "solve_mat" fail (fun () ->
+          ignore (Solve.solve_mat m (Mat.identity n)));
+      Alcotest.check_raises "inverse" fail (fun () -> ignore (Solve.inverse m));
+      Alcotest.(check (pair int (float 0.0))) "log det" (0, neg_infinity)
+        (Solve.log_determinant m))
+    singular;
+  Alcotest.check_raises "dimension checked before singularity"
+    (Invalid_argument "Solve.lu_solve: dimension mismatch") (fun () ->
+      ignore (Solve.solve_mat (List.hd singular) (Mat.identity 3)))
+
+let test_mul_bit_identical () =
+  let prng = Prng.create ~seed:1504 in
+  List.iter
+    (fun (r, k, c) ->
+      let sparse rows cols =
+        Mat.init ~rows ~cols (fun _ _ ->
+            if Prng.int prng 3 = 0 then 0.0 else Prng.float prng 2.0 -. 1.0)
+      in
+      let a = sparse r k and b = random_matrix prng ~rows:k ~cols:c in
+      check_bits_mat (Printf.sprintf "%dx%d * %dx%d" r k k c) (Ref.mul a b) (Mat.mul a b))
+    [ (1, 1, 1); (2, 3, 4); (7, 5, 3); (16, 16, 16); (33, 17, 40); (64, 64, 64) ];
+  Alcotest.check_raises "dimension mismatch"
+    (Invalid_argument "Mat.mul: dimension mismatch") (fun () ->
+      ignore (Mat.mul (Mat.identity 2) (Mat.identity 3)))
+
+let test_rounded_power_bit_identical () =
+  (* Reference: round the input, then square-and-round k times — the loop
+     both [Fixed.rounded_power] and [Shortcut.approx] run. *)
+  let prng = Prng.create ~seed:1505 in
+  let m = random_stochastic prng 12 in
+  List.iter
+    (fun bits ->
+      let round x = match bits with None -> x | Some bits -> Fixed.round_mat ~bits x in
+      let rec go acc k = if k = 1 then acc else go (round (Ref.mul acc acc)) (k / 2) in
+      List.iter
+        (fun k ->
+          check_bits_mat (Printf.sprintf "k=%d" k) (go (round m) k)
+            (Fixed.rounded_power ?bits m k))
+        [ 1; 2; 16; 256 ])
+    [ None; Some 40; Some 12 ]
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest qcheck_tests in
   Alcotest.run "cc_linalg"
@@ -327,6 +576,14 @@ let () =
           Alcotest.test_case "Lemma 3 error budget" `Quick test_rounded_power_error_within_lemma3;
           Alcotest.test_case "Lemma 3 bits" `Quick test_lemma3_bits_sufficient;
           Alcotest.test_case "rejects k=3" `Quick test_rounded_power_rejects_non_power_of_two;
+        ] );
+      ( "bit-identity",
+        [
+          Alcotest.test_case "lu_solve and log det" `Quick test_lu_solve_bit_identical;
+          Alcotest.test_case "solve_mat and inverse" `Quick test_solve_mat_inverse_bit_identical;
+          Alcotest.test_case "singular input raises" `Quick test_singular_kernels_raise;
+          Alcotest.test_case "Mat.mul" `Quick test_mul_bit_identical;
+          Alcotest.test_case "rounded_power" `Quick test_rounded_power_bit_identical;
         ] );
       ("properties", qsuite);
     ]

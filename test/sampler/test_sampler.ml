@@ -509,7 +509,39 @@ let test_crash_degrades_to_sequential () =
       Alcotest.(check (list int)) "names the crash" [ 3 ] crashed
   | h -> Alcotest.failf "expected Unrecoverable, got %a" Fault.pp_health h);
   Alcotest.(check bool) "fallback metered as overhead" true
-    (Net.overhead_rounds net > 0.0)
+    (Net.overhead_rounds net > 0.0);
+  (* With exact solve and exact arithmetic the fallback draws from the
+     plan's own Phase_plan: a machine down before the first phase degrades
+     before any randomness is used, so the tree must equal a fresh
+     Sequential.sample at the same seed, and the phase-1 power table of G
+     (the only n x n table) must not be built again. *)
+  let plan = Sampler.prepare g in
+  let f = Fault.create (Fault.spec ()) in
+  Fault.crash_now f 3;
+  let net = Net.with_faults f (Net.create ~n:8) in
+  let tr = Cc_obs.Trace.create () in
+  let r =
+    Cc_obs.Trace.with_trace tr (fun () ->
+        Sampler.draw plan net (Prng.create ~seed:33))
+  in
+  let fresh = Sequential.sample g (Prng.create ~seed:33) in
+  Alcotest.(check bool) "degraded tree = fresh sequential tree" true
+    (Tree.equal r.Sampler.tree fresh.Sequential.tree);
+  Alcotest.(check int) "aborted CC phase + sequential phases"
+    (fresh.Sequential.phases + 1) r.Sampler.phases;
+  (match r.Sampler.health with
+  | Fault.Unrecoverable _ -> ()
+  | h -> Alcotest.failf "expected Unrecoverable, got %a" Fault.pp_health h);
+  let rec tables acc (sp : Cc_obs.Trace.span) =
+    let acc =
+      if sp.name = "matmul.power_table" then List.assoc "dim" sp.args :: acc
+      else acc
+    in
+    List.fold_left tables acc sp.children
+  in
+  let dims = List.fold_left tables [] (Cc_obs.Trace.roots tr) in
+  Alcotest.(check bool) "later-phase tables built" true (dims <> []);
+  Alcotest.(check bool) "no second phase-1 table" false (List.mem "8" dims)
 
 let test_faulty_sampler_deterministic () =
   let g = Gen.lollipop ~clique:4 ~tail:3 in

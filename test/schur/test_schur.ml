@@ -331,6 +331,179 @@ let qcheck_tests =
         Mat.max_abs_diff exact via < 1e-7);
   ]
 
+(* --- Bit-identity of the flat kernels ---
+
+   References: the accessor-based code the flat rewrites of
+   [Graph.transition_matrix], [Shortcut.exact], [Shortcut.approx] and
+   [Schur.transition_via_shortcut] replaced, kept here only as oracles. They
+   share [Solve.inverse] and [Mat.mul] with the code under test; test_linalg
+   pins those two against their own accessor-based references. Results must
+   agree bit for bit ([Int64.bits_of_float]: zero signs count). *)
+
+module Solve = Cc_linalg.Solve
+module Fixed = Cc_linalg.Fixed
+
+module Ref = struct
+  let transition_matrix g =
+    let n = Graph.n g in
+    Mat.init ~rows:n ~cols:n (fun u v ->
+        let d = Graph.weighted_degree g u in
+        if d = 0.0 then if u = v then 1.0 else 0.0
+        else Graph.edge_weight g u v /. d)
+
+  let s_mass p ~in_s w =
+    let acc = ref 0.0 in
+    for x = 0 to Mat.cols p - 1 do
+      if in_s.(x) then acc := !acc +. Mat.get p w x
+    done;
+    !acc
+
+  let shortcut_exact g ~in_s =
+    let n = Graph.n g in
+    let p = transition_matrix g in
+    let t = Mat.init ~rows:n ~cols:n (fun w x -> if in_s.(x) then 0.0 else Mat.get p w x) in
+    let fundamental = Solve.inverse (Mat.sub (Mat.identity n) t) in
+    let sm = Array.init n (s_mass p ~in_s) in
+    Mat.init ~rows:n ~cols:n (fun u v -> Mat.get fundamental u v *. sm.(v))
+
+  let shortcut_approx ?bits g ~in_s ~k =
+    let n = Graph.n g in
+    let p = transition_matrix g in
+    let r =
+      Mat.init ~rows:(2 * n) ~cols:(2 * n) (fun a b ->
+          if a >= n then if a = b then 1.0 else 0.0
+          else if b < n then if in_s.(b) then 0.0 else Mat.get p a b
+          else if b = a + n then s_mass p ~in_s a
+          else 0.0)
+    in
+    let maybe_round m = match bits with None -> m | Some b -> Fixed.round_mat ~bits:b m in
+    let rec go m k = if k = 1 then m else go (maybe_round (Mat.mul m m)) (k / 2) in
+    let rk = go (maybe_round r) k in
+    Mat.init ~rows:n ~cols:n (fun u v -> Mat.get rk u (n + v))
+
+  let s_weight g ~in_s u =
+    Array.fold_left
+      (fun acc (v, w) -> if in_s.(v) then acc +. w else acc)
+      0.0 (Graph.neighbors g u)
+
+  let transition_via_shortcut g q ~s =
+    let n = Graph.n g in
+    let in_s = Schur.members ~n ~s in
+    let k = Array.length s in
+    let ws = Array.init n (s_weight g ~in_s) in
+    let r =
+      Mat.init ~rows:n ~cols:n (fun u v ->
+          if ws.(u) = 0.0 then if u = v then 1.0 else 0.0
+          else if in_s.(v) then Graph.edge_weight g u v /. ws.(u)
+          else 0.0)
+    in
+    let m = Mat.mul q r in
+    Mat.init ~rows:k ~cols:k (fun i j ->
+        if i = j then 0.0
+        else
+          let u = s.(i) and v = s.(j) in
+          let denom = 1.0 -. Mat.get m u u in
+          if denom <= 0.0 then 0.0 else Mat.get m u v /. denom)
+end
+
+let check_bits_mat msg expected actual =
+  Alcotest.(check (pair int int)) (msg ^ " dims")
+    (Mat.rows expected, Mat.cols expected)
+    (Mat.rows actual, Mat.cols actual);
+  let e = Mat.to_arrays expected and a = Mat.to_arrays actual in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j x ->
+          if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float a.(i).(j)))
+          then Alcotest.failf "%s: entry (%d,%d) differs: %h vs %h" msg i j x a.(i).(j))
+        row)
+    e
+
+(* Seeded graphs: complete, Erdős–Rényi, lollipop and barbell, integer
+   weights on two of them, and one with an isolated vertex (a d = 0 row),
+   spanning n = 2..64. *)
+let kernel_graphs () =
+  let prng = Prng.create ~seed:1510 in
+  let isolated =
+    Graph.of_edges ~n:6 [ (0, 1, 1.0); (1, 2, 2.0); (2, 0, 1.5); (3, 4, 1.0); (4, 0, 3.0) ]
+  in
+  [
+    ("complete 2", Gen.complete 2);
+    ("complete 9", Gen.complete 9);
+    ("complete 64", Gen.complete 64);
+    ("er 40", Gen.erdos_renyi_connected prng ~n:40 ~p:0.2);
+    ("er 64", Gen.erdos_renyi_connected prng ~n:64 ~p:0.3);
+    ("lollipop 48", Gen.lollipop ~clique:24 ~tail:24);
+    ("barbell 32", Gen.barbell 32);
+    ("weighted er 30",
+     Gen.random_weights prng (Gen.erdos_renyi_connected prng ~n:30 ~p:0.3) ~max_weight:9);
+    ("weighted lollipop 17", Gen.random_weights prng (Gen.lollipop ~clique:9 ~tail:8) ~max_weight:5);
+    ("isolated vertex", isolated);
+  ]
+
+(* Random nonempty S, sorted; [force] joins it (the isolated vertex must be
+   in S, or I - T is singular). *)
+let random_s prng n ~force =
+  let size = 1 + Prng.int prng n in
+  let s = Prng.subset prng ~size (Array.init n Fun.id) in
+  let s = if Array.mem force s || force < 0 then s else Array.append s [| force |] in
+  Array.sort compare s;
+  s
+
+let test_transition_matrix_bit_identical () =
+  List.iter
+    (fun (name, g) ->
+      check_bits_mat name (Ref.transition_matrix g) (Graph.transition_matrix g))
+    (kernel_graphs ())
+
+let test_shortcut_exact_bit_identical () =
+  let prng = Prng.create ~seed:1511 in
+  List.iter
+    (fun (name, g) ->
+      let n = Graph.n g in
+      let force = if name = "isolated vertex" then 5 else -1 in
+      for trial = 1 to 3 do
+        let s = random_s prng n ~force in
+        let in_s = Schur.members ~n ~s in
+        let msg = Printf.sprintf "%s S#%d (|S|=%d)" name trial (Array.length s) in
+        let q = Shortcut.exact g ~in_s in
+        check_bits_mat (msg ^ " Q") (Ref.shortcut_exact g ~in_s) q;
+        if Array.length s >= 2 then
+          check_bits_mat (msg ^ " schur") (Ref.transition_via_shortcut g q ~s)
+            (Schur.transition_via_shortcut g q ~s)
+      done)
+    (kernel_graphs ());
+  (* The isolated vertex outside S makes I - T singular: same Failure. *)
+  let _, g = List.nth (kernel_graphs ()) 9 in
+  let in_s = Array.init 6 (fun v -> v = 0) in
+  let fail = Failure "Solve.lu_solve: singular matrix" in
+  Alcotest.check_raises "reference singular" fail (fun () ->
+      ignore (Ref.shortcut_exact g ~in_s));
+  Alcotest.check_raises "singular" fail (fun () -> ignore (Shortcut.exact g ~in_s))
+
+let test_shortcut_approx_bit_identical () =
+  let prng = Prng.create ~seed:1512 in
+  List.iter
+    (fun (name, g) ->
+      let n = Graph.n g in
+      let force = if name = "isolated vertex" then 5 else -1 in
+      let s = random_s prng n ~force in
+      let in_s = Schur.members ~n ~s in
+      List.iter
+        (fun (bits, k) ->
+          let msg =
+            Printf.sprintf "%s bits=%s k=%d" name
+              (match bits with None -> "none" | Some b -> string_of_int b) k
+          in
+          let q = Shortcut.approx ?bits g ~in_s ~k in
+          check_bits_mat msg (Ref.shortcut_approx ?bits g ~in_s ~k) q;
+          if Array.length s >= 2 then
+            check_bits_mat (msg ^ " schur") (Ref.transition_via_shortcut g q ~s)
+              (Schur.transition_via_shortcut g q ~s))
+        [ (None, 1); (None, 64); (Some 40, 1); (Some 40, 64) ])
+    (List.filter (fun (_, g) -> Graph.n g <= 40) (kernel_graphs ()))
+
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest qcheck_tests in
   Alcotest.run "cc_schur"
@@ -361,5 +534,11 @@ let () =
         ] );
       ( "algorithm4",
         [ Alcotest.test_case "first-visit edge law" `Slow test_first_visit_weights_empirical ] );
+      ( "bit-identity",
+        [
+          Alcotest.test_case "transition matrix" `Quick test_transition_matrix_bit_identical;
+          Alcotest.test_case "shortcut exact and schur" `Quick test_shortcut_exact_bit_identical;
+          Alcotest.test_case "shortcut powering and schur" `Quick test_shortcut_approx_bit_identical;
+        ] );
       ("properties", qsuite);
     ]
