@@ -577,7 +577,7 @@ let () =
           Alcotest.test_case "Lemma 3 bits" `Quick test_lemma3_bits_sufficient;
           Alcotest.test_case "rejects k=3" `Quick test_rounded_power_rejects_non_power_of_two;
         ] );
-      ( "bit-identity",
+      ( "bitwise",
         [
           Alcotest.test_case "lu_solve and log det" `Quick test_lu_solve_bit_identical;
           Alcotest.test_case "solve_mat and inverse" `Quick test_solve_mat_inverse_bit_identical;

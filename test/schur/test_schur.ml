@@ -534,7 +534,7 @@ let () =
         ] );
       ( "algorithm4",
         [ Alcotest.test_case "first-visit edge law" `Slow test_first_visit_weights_empirical ] );
-      ( "bit-identity",
+      ( "bitwise",
         [
           Alcotest.test_case "transition matrix" `Quick test_transition_matrix_bit_identical;
           Alcotest.test_case "shortcut exact and schur" `Quick test_shortcut_exact_bit_identical;
